@@ -8,9 +8,9 @@
  *    the translated backend's design targets.
  *  - engine path: an Engine grid of the same cells on both backends,
  *    warm cache, per-cell wall time as the engine reports it — which
- *    includes re-expanding the cached image for every run, so the
- *    ratio is lower. Both numbers are real; they answer different
- *    questions.
+ *    includes cloning the cached pristine image for every run (only
+ *    its written pages are copied), so the ratio is lower. Both
+ *    numbers are real; they answer different questions.
  *
  * Every per-program pair is checked for zero cycle delta — a single
  * diverging cycle count fails the bench (the backend test suite proves
@@ -172,7 +172,7 @@ main()
         engTrans += reports[i + 1].wallSeconds;
     }
     std::printf("engine-path aggregate: %.2fx (includes per-run image "
-                "expansion)\n",
+                "clone)\n",
                 engInterp / engTrans);
     std::printf("zero-cycle-delta check: %s\n\n",
                 failures == 0 ? "PASS (all pairs identical)" : "FAIL");

@@ -72,7 +72,7 @@ main()
     std::printf("substrate benchmark: simulator dispatch, GC cost, "
                 "compile speed\n");
     std::printf("(engine path; per-cell wall time includes the per-run "
-                "image expansion)\n\n");
+                "image clone)\n\n");
 
     Engine eng;
 

@@ -13,35 +13,6 @@ namespace mxl {
 namespace {
 
 /**
- * A pristine image is almost entirely zeros (the heap and stack start
- * empty; only the static area is populated), so cached units keep just
- * the prefix up to the last nonzero word.
- */
-Memory
-trimToLivePrefix(const Memory &full)
-{
-    uint32_t words = full.size() / 4;
-    uint32_t live = words;
-    while (live > 0 && full.word(live - 1) == 0)
-        --live;
-    Memory t(live * 4);
-    for (uint32_t i = 0; i < live; ++i)
-        t.word(i) = full.word(i);
-    return t;
-}
-
-/** Rebuild the full-size pristine image from a trimmed cached unit. */
-Memory
-expandImage(const CompiledUnit &unit)
-{
-    Memory full(unit.layout.memBytes);
-    uint32_t live = unit.memory.size() / 4;
-    for (uint32_t i = 0; i < live; ++i)
-        full.word(i) = unit.memory.word(i);
-    return full;
-}
-
-/**
  * The engine whose worker pool is executing the current thread, if any.
  * Set once per worker in workerLoop(); runGrid() consults it to refuse
  * re-entrant grids instead of self-deadlocking.
@@ -171,7 +142,6 @@ Engine::getOrCompile(const std::string &source, const CompilerOptions &opts,
             c.trans = std::move(tr.unit);
             c.transNote = std::move(tr.note);
         }
-        unit->memory = trimToLivePrefix(unit->memory);
         c.unit = std::move(unit);
     } catch (const MxlError &e) {
         c.status.code = e.kind == MxlError::Kind::Fatal
@@ -187,12 +157,16 @@ Engine::getOrCompile(const std::string &source, const CompilerOptions &opts,
     // Account the entry's bytes now that the unit's size is known, and
     // re-check the byte bound (the entry may already be evicted).
     if (c.unit) {
+        // An entry costs the pages its pristine image holds, not the
+        // address space.
+        const size_t bytes =
+            c.unit->memory.residentPages() * ZeroPages::kPageBytes;
         std::lock_guard<std::mutex> lk(cacheMu_);
         auto it = cache_.find(key);
         // bytes == 0 guards the evicted-and-reinserted race: only the
         // first finisher for a key accounts the entry.
         if (it != cache_.end() && it->second->bytes == 0) {
-            it->second->bytes = c.unit->memory.size();
+            it->second->bytes = bytes;
             cacheBytes_ += it->second->bytes;
             evictOverLimits();
         }
@@ -288,9 +262,17 @@ Engine::execute(const RunRequest &req)
                                   ver.render());
                     }
                 }
-                Memory image = expandImage(*unit);
+                // The run image: a clone of the pristine image, which
+                // copies only the pages the image builder wrote.
+                auto tImg = std::chrono::steady_clock::now();
+                uint64_t trI0 = tr ? tr->nowMicros() : 0;
+                Memory image = unit->memory;
                 if (req.hooks.imageMutator)
                     req.hooks.imageMutator(image, *unit);
+                mImageMicros_.inc(microsSince(tImg));
+                if (tr)
+                    tr->complete("image", "engine", tid, trI0,
+                                 tr->nowMicros() - trI0, req.label);
                 const char *runCat = useTrans ? "engine/translated"
                                               : "engine/interpreter";
                 auto tRun = std::chrono::steady_clock::now();

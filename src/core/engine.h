@@ -137,7 +137,7 @@ struct ExecPolicy
 struct Hooks
 {
     /**
-     * Applied to the freshly expanded pristine image before execution
+     * Applied to the run's clone of the pristine image before execution
      * (the cached compiled unit is never touched). This is the
      * fault-injection seam (src/faults/): memory perturbations happen
      * on the per-run copy, so cache hits stay sound. Supported by both
@@ -175,7 +175,7 @@ struct Hooks
 
     /**
      * Applied to the compiled unit after compilation (or a cache hit)
-     * and before the image is expanded: the seam for static rewriters
+     * and before the run image is cloned: the seam for static rewriters
      * (analysis/checkelim.h runs here). The transform must return a
      * new or unchanged unit — the cached unit itself is shared and
      * immutable; returning null is an InternalError. Interpreter-only:
@@ -240,7 +240,7 @@ struct RunReport
 class Engine
 {
   public:
-    /** Default compiled-unit cache byte budget (trimmed image bytes). */
+    /** Default compiled-unit cache byte budget (resident image bytes). */
     static constexpr size_t kDefaultCacheBytes = 256u << 20;
 
     /**
@@ -249,11 +249,12 @@ class Engine
      *        lazily on the first runGrid() call, so an engine used only
      *        through run() never spawns a thread.
      * @param cacheCapacity maximum number of compiled units kept
-     *        (least-recently-used eviction). Cached units hold only the
-     *        live prefix of their pristine memory image, so an entry
-     *        costs roughly the program's static-data footprint, not the
-     *        full simulated address space.
-     * @param cacheMaxBytes cap on the *sum of trimmed image bytes* the
+     *        (least-recently-used eviction). A cached unit's pristine
+     *        image spans the full simulated address space but holds
+     *        only the pages the image builder wrote
+     *        (machine/memory.h), so an entry costs roughly the
+     *        program's static-data footprint.
+     * @param cacheMaxBytes cap on the *sum of resident image bytes* the
      *        cache may hold; eviction is LRU and runs when either bound
      *        is exceeded (the most recent entry always survives, so one
      *        oversized unit still caches). 0 means entry-bounded only.
@@ -295,9 +296,9 @@ class Engine
     struct CompileOutcome
     {
         /**
-         * The cached unit; null when !status.ok(). Its `memory` member
-         * is trimmed to the live image prefix — use Engine::run (which
-         * re-expands it) to execute, not runUnit().
+         * The cached unit; null when !status.ok(). Its `memory` is the
+         * full-size pristine image, so runUnit() on it behaves exactly
+         * like Engine::run of the same request.
          */
         std::shared_ptr<const CompiledUnit> unit;
         RunStatus status;
@@ -327,7 +328,7 @@ class Engine
         uint64_t hits = 0;    ///< lookups served from the cache
         uint64_t misses = 0;  ///< lookups that triggered a compile
         uint64_t entries = 0; ///< units currently cached
-        uint64_t bytes = 0;   ///< sum of cached trimmed image bytes
+        uint64_t bytes = 0;   ///< sum of cached resident image bytes
         uint64_t byteLimit = 0;  ///< configured cap (0 = unbounded)
         uint64_t evictions = 0;  ///< entries evicted over either bound
     };
@@ -340,7 +341,8 @@ class Engine
     /**
      * This engine's metrics registry (obs/metrics.h). The engine itself
      * maintains: engine.cache.{hits,misses,evictions} and
-     * engine.{compile,run}_micros counters, engine.runs,
+     * engine.{compile,image,run}_micros counters (image: cloning the
+     * pristine image and applying imageMutator), engine.runs,
      * engine.timeouts (deadline expiries), engine.backend.fallbacks,
      * engine.queue_wait_micros and engine.cell_micros histograms, and
      * one engine.worker.<n>.busy_micros counter per started worker
@@ -354,12 +356,14 @@ class Engine
     /**
      * Attach (or detach, with nullptr) a Chrome-trace recorder
      * (obs/trace.h). While attached, every executed request emits a
-     * "compile" span (cache misses only) and a "run" span on its
-     * worker's track — the run span's category names the backend that
-     * executed it ("engine/interpreter" or "engine/translated") — plus
-     * a "snapshot" instant at a pauseAtCycle pause. The recorder must outlive all runs made while attached;
-     * the pointer itself is read atomically, so attaching around a
-     * runGrid() call from the calling thread is safe.
+     * "compile" span (cache misses only), an "image" span (the run
+     * image's materialization) and a "run" span on its worker's track —
+     * the run span's category names the backend that executed it
+     * ("engine/interpreter" or "engine/translated") — plus a
+     * "snapshot" instant at a pauseAtCycle pause. The recorder must
+     * outlive all runs made while attached; the pointer itself is read
+     * atomically, so attaching around a runGrid() call from the calling
+     * thread is safe.
      */
     void setTrace(TraceRecorder *t)
     {
@@ -396,7 +400,7 @@ class Engine
   private:
     struct Compiled
     {
-        std::shared_ptr<const CompiledUnit> unit; ///< trimmed image
+        std::shared_ptr<const CompiledUnit> unit; ///< pristine image
         RunStatus status;
 
         /** Translation for the threaded backend; attempted only for
@@ -410,7 +414,7 @@ class Engine
     {
         std::string key;
         std::shared_future<Compiled> future;
-        size_t bytes = 0; ///< trimmed image bytes; 0 until compiled
+        size_t bytes = 0; ///< resident image bytes; 0 until compiled
     };
 
     Compiled getOrCompile(const std::string &source,
@@ -435,6 +439,7 @@ class Engine
     Counter &mCompileMicros_ = metrics_.counter("engine.compile_micros");
     Counter &mTranslateMicros_ =
         metrics_.counter("engine.translate_micros");
+    Counter &mImageMicros_ = metrics_.counter("engine.image_micros");
     Counter &mRunMicros_ = metrics_.counter("engine.run_micros");
     Counter &mRuns_ = metrics_.counter("engine.runs");
     Counter &mTimeouts_ = metrics_.counter("engine.timeouts");

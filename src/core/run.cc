@@ -82,7 +82,7 @@ runUnitOn(const CompiledUnit &unit, Memory image,
             controls.snapshotHook(snap, unit);
             // The hook may perturb state, but the run stays paused.
             snap.stop = StopReason::CycleLimit;
-            m.restore(snap);
+            m.restore(std::move(snap));
             r.snapshotTaken = true;
         }
     }

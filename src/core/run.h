@@ -129,9 +129,10 @@ RunResult runUnit(const CompiledUnit &unit,
 
 /**
  * Execute @p unit on a caller-supplied initial memory image. This is
- * the primitive the Engine's cache path uses: cached units keep only
- * the live prefix of their image, and the engine re-expands it to
- * @p unit.layout.memBytes before each run.
+ * the primitive the Engine's interpreter path uses: it hands over a
+ * clone of the cached unit's full-size pristine image (cheap — the
+ * clone copies only the pages the image builder wrote; see
+ * machine/memory.h), possibly mutated by a fault injector.
  */
 RunResult runUnitOn(const CompiledUnit &unit, Memory image,
                     uint64_t maxCycles = kDefaultMaxCycles);

@@ -98,7 +98,7 @@ coreRun(const CompiledUnit &unit, const TranslatedUnit &tu, Memory &image,
     // Machine state. Slot 32 is the write sink for rd == 0 (reads of
     // r0 always see the never-written regs[0] == 0).
     uint32_t regs[33] = {};
-    uint32_t *const mem = image.size() ? &image.word(0) : nullptr;
+    uint32_t *const mem = image.data();
     const uint32_t nWords = image.size() / 4;
     int pending = -1; // load-interlock register, -1 none
 

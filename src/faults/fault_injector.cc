@@ -106,9 +106,9 @@ liveHeapRange(const MachineSnapshot &snap, const CompiledUnit &unit,
               uint32_t *lo, uint32_t *hi)
 {
     uint32_t fromLo =
-        snap.memory[unit.layout.cellAddr(Cell::FromLo) / 4];
+        snap.memory.word(unit.layout.cellAddr(Cell::FromLo) / 4);
     uint32_t hp = snap.regs[abi::hp];
-    uint32_t words = static_cast<uint32_t>(snap.memory.size());
+    uint32_t words = snap.memory.size() / 4;
     *lo = std::min(fromLo / 4, words);
     *hi = std::min(hp / 4, words);
     if (*hi < *lo)
@@ -128,7 +128,7 @@ heapPairPointerWords(const MachineSnapshot &snap, const CompiledUnit &unit)
     liveHeapRange(snap, unit, &lo, &hi);
     std::vector<uint32_t> out;
     for (uint32_t i = lo; i < hi; ++i) {
-        uint32_t w = snap.memory[i];
+        uint32_t w = snap.memory.word(i);
         if (w == 0 || s.primaryTag(w) != s.pointerTag(TypeId::Pair))
             continue;
         uint32_t a = s.detagAddr(w);
@@ -146,7 +146,7 @@ heapNonzeroWords(const MachineSnapshot &snap, const CompiledUnit &unit)
     liveHeapRange(snap, unit, &lo, &hi);
     std::vector<uint32_t> out;
     for (uint32_t i = lo; i < hi; ++i)
-        if (snap.memory[i] != 0)
+        if (snap.memory.word(i) != 0)
             out.push_back(i);
     return out;
 }
@@ -165,7 +165,7 @@ injectHeapTagCorrupt(MachineSnapshot &snap, const CompiledUnit &unit,
     uint32_t idx = sites[rng.below(sites.size())];
     uint32_t tagMask = (1u << s.tagBits()) - 1u;
     uint32_t delta = 1u + static_cast<uint32_t>(rng.below(tagMask));
-    snap.memory[idx] ^= delta << s.tagShift();
+    snap.memory.word(idx) ^= delta << s.tagShift();
 }
 
 void
@@ -177,7 +177,7 @@ injectHeapBitFlip(MachineSnapshot &snap, const CompiledUnit &unit,
     if (sites.empty())
         return;
     uint32_t idx = sites[rng.below(sites.size())];
-    snap.memory[idx] ^= 1u << rng.below(32);
+    snap.memory.word(idx) ^= 1u << rng.below(32);
 }
 
 /**
@@ -191,7 +191,7 @@ liveStackRange(const MachineSnapshot &snap, const CompiledUnit &unit,
                uint32_t *lo, uint32_t *hi)
 {
     uint32_t sp = snap.regs[abi::sp];
-    uint32_t words = static_cast<uint32_t>(snap.memory.size());
+    uint32_t words = snap.memory.size() / 4;
     *lo = std::min(sp / 4, words);
     *hi = std::min(unit.layout.stackTop / 4, words);
     if (*hi < *lo)
@@ -212,7 +212,7 @@ stackPairPointerWords(const MachineSnapshot &snap, const CompiledUnit &unit)
     liveStackRange(snap, unit, &lo, &hi);
     std::vector<uint32_t> out;
     for (uint32_t i = lo; i < hi; ++i) {
-        uint32_t w = snap.memory[i];
+        uint32_t w = snap.memory.word(i);
         if (w == 0 || s.primaryTag(w) != s.pointerTag(TypeId::Pair))
             continue;
         uint32_t a = s.detagAddr(w);
@@ -230,7 +230,7 @@ stackNonzeroWords(const MachineSnapshot &snap, const CompiledUnit &unit)
     liveStackRange(snap, unit, &lo, &hi);
     std::vector<uint32_t> out;
     for (uint32_t i = lo; i < hi; ++i)
-        if (snap.memory[i] != 0)
+        if (snap.memory.word(i) != 0)
             out.push_back(i);
     return out;
 }
@@ -249,7 +249,7 @@ injectStackTagCorrupt(MachineSnapshot &snap, const CompiledUnit &unit,
     uint32_t idx = sites[rng.below(sites.size())];
     uint32_t tagMask = (1u << s.tagBits()) - 1u;
     uint32_t delta = 1u + static_cast<uint32_t>(rng.below(tagMask));
-    snap.memory[idx] ^= delta << s.tagShift();
+    snap.memory.word(idx) ^= delta << s.tagShift();
 }
 
 void
@@ -261,7 +261,7 @@ injectStackBitFlip(MachineSnapshot &snap, const CompiledUnit &unit,
     if (sites.empty())
         return;
     uint32_t idx = sites[rng.below(sites.size())];
-    snap.memory[idx] ^= 1u << rng.below(32);
+    snap.memory.word(idx) ^= 1u << rng.below(32);
 }
 
 void

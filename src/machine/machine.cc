@@ -1,6 +1,7 @@
 #include "machine/machine.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "machine/snapshot.h"
 #include "support/format.h"
@@ -41,7 +42,7 @@ Machine::Machine(const Program &prog, Memory mem, HardwareConfig hw,
         panic("tag hardware enabled without a tag scheme");
     }
     if (hw_.memTagging)
-        memLocks_.assign(mem_.size() / 4, kMemTagUnpainted);
+        memLocks_ = ZeroPages(mem_.size() / 4);
 }
 
 bool
@@ -54,19 +55,19 @@ Machine::memTagAccess(uint32_t baseWord, uint32_t addr, bool isStore,
     if (scheme_->wordIsFixnum(baseWord)) {
         // Raw access (allocator, GC, stack frames addressed via sp):
         // a raw store releases the word's lock; a raw load bypasses.
-        if (isStore)
-            memLocks_[w] = kMemTagUnpainted;
+        if (isStore && lockAt(w) != kMemTagUnpainted)
+            setLock(w, kMemTagUnpainted);
         return true;
     }
     uint8_t key = static_cast<uint8_t>(scheme_->primaryTag(baseWord));
     if (isStore) {
         // Write-repaint: a keyed store claims the word for its key.
-        memLocks_[w] = key;
+        setLock(w, key);
         return true;
     }
-    uint8_t lock = memLocks_[w];
+    uint8_t lock = lockAt(w);
     if (lock == kMemTagUnpainted) {
-        memLocks_[w] = key; // first keyed read paints
+        setLock(w, key); // first keyed read paints
         return true;
     }
     if (lock != key) {
@@ -392,7 +393,7 @@ Machine::snapshot() const
     s.pc = pc_;
     std::copy(std::begin(trapHandler_), std::end(trapHandler_),
               std::begin(s.trapHandler));
-    s.memory = mem_.words();
+    s.memory = mem_;
     s.memTagLocks = memLocks_;
     s.pendingLoadReg = pendingLoadReg_;
     s.slotsRemaining = slotsRemaining_;
@@ -410,14 +411,17 @@ Machine::snapshot() const
 }
 
 void
-Machine::restore(const MachineSnapshot &s)
+Machine::restore(MachineSnapshot s)
 {
+    MXL_ASSERT(s.memory.size() == mem_.size(),
+               "snapshot image size mismatch: ", s.memory.size(), " != ",
+               mem_.size());
     std::copy(std::begin(s.regs), std::end(s.regs), std::begin(regs_));
     pc_ = s.pc;
     std::copy(std::begin(s.trapHandler), std::end(s.trapHandler),
               std::begin(trapHandler_));
-    mem_.setWords(s.memory);
-    memLocks_ = s.memTagLocks;
+    mem_ = std::move(s.memory);
+    memLocks_ = std::move(s.memTagLocks);
     pendingLoadReg_ = s.pendingLoadReg;
     slotsRemaining_ = s.slotsRemaining;
     branchTaken_ = s.branchTaken;
@@ -425,7 +429,7 @@ Machine::restore(const MachineSnapshot &s)
     branchTarget_ = s.branchTarget;
     branchIdx_ = s.branchIdx;
     stats_ = s.stats;
-    out_ = s.output;
+    out_ = std::move(s.output);
     exitValue_ = s.exitValue;
     errorCode_ = s.errorCode;
     stop_ = s.stop;

@@ -172,8 +172,9 @@ class Machine
      */
     MachineSnapshot snapshot() const;
 
-    /** Adopt @p snap wholesale (memory sizes must match). */
-    void restore(const MachineSnapshot &snap);
+    /** Adopt @p snap wholesale (memory sizes must match). Pass an
+     *  rvalue to hand over its pages instead of copying them. */
+    void restore(MachineSnapshot snap);
 
     uint32_t reg(Reg r) const { return regs_[r]; }
     void setReg(Reg r, uint32_t v) { if (r) regs_[r] = v; }
@@ -244,7 +245,7 @@ class Machine
     uint8_t
     memTagLock(uint32_t w) const
     {
-        return w < memLocks_.size() ? memLocks_[w] : kMemTagUnpainted;
+        return w < memLocks_.size() ? lockAt(w) : kMemTagUnpainted;
     }
 
   private:
@@ -257,6 +258,19 @@ class Machine
     void trap(TrapKind kind, int idx);
     void illegalAccess(uint32_t addr, int idx);
     uint32_t effAddr(const Instruction &inst, bool checked) const;
+
+    // memLocks_ holds each lock XOR kMemTagUnpainted, so its never-
+    // written (zero) pages read as unpainted and cost nothing.
+    uint8_t
+    lockAt(uint32_t w) const
+    {
+        return memLocks_.bytes()[w] ^ kMemTagUnpainted;
+    }
+    void
+    setLock(uint32_t w, uint8_t lock)
+    {
+        *memLocks_.touch(w) = lock ^ kMemTagUnpainted;
+    }
 
     /**
      * memTagging lock-and-key check for an access to in-bounds byte
@@ -305,7 +319,7 @@ class Machine
     StopReason stop_ = StopReason::Running;
     int faultIndex_ = -1;
     int pendingLoadReg_ = -1;  ///< load-delay interlock tracking
-    std::vector<uint8_t> memLocks_; ///< memTagging per-word locks
+    ZeroPages memLocks_; ///< memTagging per-word locks (see lockAt)
     uint64_t *profExec_ = nullptr;   ///< attachProfile issue counts
     uint64_t *profCycles_ = nullptr; ///< attachProfile cycle counts
 

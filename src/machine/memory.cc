@@ -1,53 +1,177 @@
 #include "machine/memory.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <bit>
+#include <cstring>
+#include <new>
+#include <utility>
+
 #include "support/format.h"
 #include "support/panic.h"
 
 namespace mxl {
 
-Memory::Memory(uint32_t bytes) : words_((bytes + 3) / 4, 0)
+ZeroPages::ZeroPages(size_t bytes)
+    : bytes_(bytes), dirty_((pageCount() + 63) / 64, 0)
 {
+    if (bytes_ == 0)
+        return;
+    const size_t len = pageCount() * kPageBytes;
+    void *p = ::mmap(nullptr, len, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+#ifdef MADV_NOHUGEPAGE
+    // One write must materialize one small page, not a 2 MiB huge one.
+    ::madvise(p, len, MADV_NOHUGEPAGE);
+#endif
+    base_ = static_cast<uint8_t *>(p);
 }
 
-uint32_t
-Memory::load(uint32_t addr) const
+ZeroPages::~ZeroPages()
 {
-    uint32_t idx = addr >> 2;
-    if (idx >= words_.size())
-        fatal("memory load out of bounds: ", hex32(addr));
-    return words_[idx];
+    if (base_)
+        ::munmap(base_, pageCount() * kPageBytes);
+}
+
+ZeroPages::ZeroPages(const ZeroPages &o) : ZeroPages(o.bytes_)
+{
+    *this = o;
+}
+
+ZeroPages::ZeroPages(ZeroPages &&o) noexcept
+{
+    swap(o);
+}
+
+ZeroPages &
+ZeroPages::operator=(const ZeroPages &o)
+{
+    if (this == &o)
+        return *this;
+    if (bytes_ != o.bytes_)
+        return *this = ZeroPages(o);
+    // Visit every page dirty on either side: copy the source's, re-zero
+    // the ones only this buffer had written.
+    for (size_t i = 0; i < dirty_.size(); ++i) {
+        for (uint64_t bits = dirty_[i] | o.dirty_[i]; bits != 0;
+             bits &= bits - 1) {
+            const size_t p = i * 64 + std::countr_zero(bits);
+            uint8_t *dst = base_ + p * kPageBytes;
+            if (o.pageDirty(p))
+                std::memcpy(dst, o.base_ + p * kPageBytes, pageBytes(p));
+            else
+                std::memset(dst, 0, pageBytes(p));
+        }
+        dirty_[i] = o.dirty_[i];
+    }
+    return *this;
+}
+
+ZeroPages &
+ZeroPages::operator=(ZeroPages &&o) noexcept
+{
+    ZeroPages taken(std::move(o));
+    swap(taken);
+    return *this;
 }
 
 void
-Memory::store(uint32_t addr, uint32_t w)
+ZeroPages::swap(ZeroPages &o) noexcept
 {
-    uint32_t idx = addr >> 2;
-    if (idx >= words_.size())
-        fatal("memory store out of bounds: ", hex32(addr));
-    words_[idx] = w;
+    std::swap(base_, o.base_);
+    std::swap(bytes_, o.bytes_);
+    std::swap(dirty_, o.dirty_);
+}
+
+size_t
+ZeroPages::pageBytes(size_t p) const
+{
+    return std::min(kPageBytes, bytes_ - p * kPageBytes);
+}
+
+uint8_t *
+ZeroPages::data()
+{
+    std::fill(dirty_.begin(), dirty_.end(), ~uint64_t{0});
+    if (size_t tail = pageCount() % 64)
+        dirty_.back() = (uint64_t{1} << tail) - 1;
+    return base_;
+}
+
+size_t
+ZeroPages::dirtyPages() const
+{
+    size_t n = 0;
+    for (uint64_t bits : dirty_)
+        n += static_cast<size_t>(std::popcount(bits));
+    return n;
+}
+
+size_t
+ZeroPages::residentPages() const
+{
+    if (base_ == nullptr)
+        return 0;
+#if defined(__linux__)
+    const size_t sys = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+    const size_t len = pageCount() * kPageBytes;
+    std::vector<unsigned char> vec((len + sys - 1) / sys);
+    if (::mincore(base_, len, vec.data()) == 0) {
+        size_t n = 0;
+        for (unsigned char v : vec)
+            n += v & 1;
+        return n * sys / kPageBytes;
+    }
+#endif
+    return dirtyPages();
+}
+
+bool
+ZeroPages::operator==(const ZeroPages &o) const
+{
+    if (bytes_ != o.bytes_)
+        return false;
+    static const uint8_t kZero[kPageBytes] = {};
+    for (size_t i = 0; i < dirty_.size(); ++i) {
+        for (uint64_t bits = dirty_[i] | o.dirty_[i]; bits != 0;
+             bits &= bits - 1) {
+            const size_t p = i * 64 + std::countr_zero(bits);
+            const uint8_t *a = pageDirty(p) ? base_ + p * kPageBytes : kZero;
+            const uint8_t *b =
+                o.pageDirty(p) ? o.base_ + p * kPageBytes : kZero;
+            if (std::memcmp(a, b, pageBytes(p)) != 0)
+                return false;
+        }
+    }
+    return true;
+}
+
+Memory::Memory(uint32_t bytes) : pages_(size_t{(bytes + 3u) / 4u} * 4)
+{
+}
+
+void
+Memory::outOfBounds(const char *what, uint32_t addr)
+{
+    fatal("memory ", what, " out of bounds: ", hex32(addr));
 }
 
 uint32_t &
 Memory::word(uint32_t index)
 {
-    MXL_ASSERT(index < words_.size(), "word index out of range");
-    return words_[index];
+    MXL_ASSERT(index < size() / 4, "word index out of range");
+    return *slot(index);
 }
 
 uint32_t
 Memory::word(uint32_t index) const
 {
-    MXL_ASSERT(index < words_.size(), "word index out of range");
-    return words_[index];
-}
-
-void
-Memory::setWords(const std::vector<uint32_t> &w)
-{
-    MXL_ASSERT(w.size() == words_.size(),
-               "setWords size mismatch: ", w.size(), " != ",
-               words_.size());
-    words_ = w;
+    MXL_ASSERT(index < size() / 4, "word index out of range");
+    return words()[index];
 }
 
 } // namespace mxl

@@ -1,5 +1,7 @@
 #include "machine/snapshot.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 
 namespace mxl {
@@ -133,13 +135,32 @@ takeStats(Cursor &c, CycleStats *st)
     st->branches = c.u64();
 }
 
+/**
+ * Append @p z page by page: a clean page (all zero) as @p clean bytes,
+ * without reading and so without mapping it; a dirty page's byte range
+ * [lo, hi) through @p putDirty.
+ */
+template <typename PutDirty>
+void
+putPages(std::string &s, const ZeroPages &z, char clean, PutDirty putDirty)
+{
+    for (size_t p = 0; p < z.pageCount(); ++p) {
+        const size_t lo = p * ZeroPages::kPageBytes;
+        const size_t hi = std::min(lo + ZeroPages::kPageBytes, z.size());
+        if (z.pageDirty(p))
+            putDirty(lo, hi);
+        else
+            s.append(hi - lo, clean);
+    }
+}
+
 } // namespace
 
 std::string
 MachineSnapshot::serialize() const
 {
     std::string s;
-    s.reserve(256 + memory.size() * 4 + output.size());
+    s.reserve(256 + memory.size() + memTagLocks.size() + output.size());
     s.append(kMagic, sizeof kMagic);
 
     for (uint32_t r : regs)
@@ -162,12 +183,18 @@ MachineSnapshot::serialize() const
     putI32(s, static_cast<int32_t>(stop));
     putI32(s, faultIndex);
 
-    putU64(s, memory.size());
-    for (uint32_t w : memory)
-        putU32(s, w);
+    putU64(s, memory.size() / 4);
+    putPages(s, memory.pages(), '\0', [&](size_t lo, size_t hi) {
+        for (size_t a = lo; a < hi; a += 4)
+            putU32(s, memory.word(static_cast<uint32_t>(a / 4)));
+    });
     putU64(s, memTagLocks.size());
-    s.append(reinterpret_cast<const char *>(memTagLocks.data()),
-             memTagLocks.size());
+    putPages(s, memTagLocks, static_cast<char>(Machine::kMemTagUnpainted),
+             [&](size_t lo, size_t hi) {
+                 for (size_t i = lo; i < hi; ++i)
+                     s += static_cast<char>(memTagLocks.bytes()[i] ^
+                                            Machine::kMemTagUnpainted);
+             });
     return s;
 }
 
@@ -205,18 +232,23 @@ MachineSnapshot::deserialize(const std::string &bytes, MachineSnapshot *out)
     s.stop = static_cast<StopReason>(stop);
     s.faultIndex = c.i32();
 
+    // Only nonzero words and painted locks are written back, so the
+    // decoded state is as sparse as the one that was encoded.
     uint64_t words = c.u64();
-    if (!c.ok || c.pos + words * 4 > bytes.size())
+    if (!c.ok || words > UINT32_MAX / 4 || c.pos + words * 4 > bytes.size())
         return false;
-    s.memory.resize(words);
-    for (uint64_t i = 0; i < words; ++i)
-        s.memory[i] = c.u32();
+    s.memory = Memory(static_cast<uint32_t>(words * 4));
+    for (uint32_t i = 0; i < words; ++i)
+        if (uint32_t w = c.u32())
+            s.memory.word(i) = w;
     uint64_t locks = c.u64();
     if (!c.ok || c.pos + locks > bytes.size())
         return false;
-    s.memTagLocks.resize(locks);
-    if (locks > 0 && !c.take(s.memTagLocks.data(), locks))
-        return false;
+    s.memTagLocks = ZeroPages(locks);
+    for (uint64_t i = 0; i < locks; ++i)
+        if (uint8_t b = static_cast<uint8_t>(bytes[c.pos++]) ^
+                        Machine::kMemTagUnpainted)
+            *s.memTagLocks.touch(i) = b;
     if (!c.ok || c.pos != bytes.size())
         return false;
     *out = std::move(s);

@@ -16,6 +16,10 @@
  * the simulation, for any pause point N, including pauses between a
  * branch and its delay slots.
  *
+ * Memory and locks share the image's lazily zeroed, page-sparse backing
+ * (machine/memory.h), so taking or restoring a snapshot copies the
+ * pages the run touched, not the address space.
+ *
  * Snapshots serialize to a deterministic byte stream (fixed field
  * order, little-endian), so equal states produce equal bytes — the
  * foundation for resumable fault campaigns (src/faults/): pause a run
@@ -27,7 +31,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "machine/machine.h"
 
@@ -39,10 +42,15 @@ struct MachineSnapshot
     uint32_t regs[32] = {};
     int pc = 0;
     int trapHandler[3] = {-1, -1, -1};
-    std::vector<uint32_t> memory; ///< full image, word-indexed
+    Memory memory{0}; ///< full image; copies only its touched pages
 
-    /** memTagging per-word locks; empty when the feature is off. */
-    std::vector<uint8_t> memTagLocks;
+    /**
+     * memTagging per-word locks, one byte per memory word, each stored
+     * XOR Machine::kMemTagUnpainted so that unpainted pages stay
+     * unwritten; empty when the feature is off. serialize() writes the
+     * plain lock bytes.
+     */
+    ZeroPages memTagLocks;
 
     // Pipeline state (machine.h's in-flight branch fields).
     int pendingLoadReg = -1;

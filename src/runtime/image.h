@@ -50,7 +50,8 @@ class ImageBuilder
     /** Number of interned symbols so far. */
     int numSymbols() const { return static_cast<int>(symbols_.size()); }
 
-    /** Write runtime cells and the root list; then build the Memory. */
+    /** Write runtime cells and the root list; then hand over the image
+     *  (full-size, holding only the static area's written pages). */
     Memory finalize();
 
     const RuntimeLayout &layout() const { return layout_; }
@@ -59,7 +60,7 @@ class ImageBuilder
   private:
     const RuntimeLayout &layout_;
     const TagScheme &scheme_;
-    std::vector<uint32_t> staticWords_;
+    Memory mem_; ///< the image itself; only written pages cost memory
     uint32_t allocPtr_;
     std::unordered_map<std::string, uint32_t> symbols_;   // name -> addr
     std::unordered_map<std::string, uint32_t> strings_;   // text -> word

@@ -300,13 +300,61 @@ TEST(Engine, CompileOutcomeExposesCachedUnit)
     EXPECT_FALSE(c.cacheHit);
     EXPECT_GT(c.unit->procedures, 0);
     EXPECT_GT(c.unit->objectWords, 0);
-    // The cached image is trimmed well below the full address space.
-    EXPECT_LT(c.unit->memory.size(), c.unit->layout.memBytes);
+    // The cached image spans the full address space, yet the entry
+    // costs only the pages the image builder wrote.
+    EXPECT_EQ(c.unit->memory.size(), c.unit->layout.memBytes);
+    EXPECT_GT(eng.cacheStats().bytes, 0u);
+    EXPECT_LT(eng.cacheStats().bytes, c.unit->layout.memBytes / 16);
 
     // A run of the same cell reuses the compilation.
     RunReport rep = eng.run(request(kLoop, Checking::Off));
     EXPECT_TRUE(rep.cacheHit);
     EXPECT_TRUE(rep.ok());
+}
+
+TEST(Engine, RunUnitOnCompiledUnitMatchesEngineRun)
+{
+    // The cached unit keeps its full-size pristine image, so the legacy
+    // runUnit path on it must agree with Engine::run of the same cell.
+    const char *src = "(print (+ 1 2))";
+    Engine eng(1);
+    auto c = eng.compile(src, baselineOptions(Checking::Off));
+    ASSERT_TRUE(c.status.ok()) << c.status.message;
+    RunResult direct = runUnit(*c.unit);
+    RunReport rep = eng.run(request(src, Checking::Off));
+    ASSERT_TRUE(rep.ok()) << rep.status.message;
+    EXPECT_EQ(direct.stop, StopReason::Halted);
+    EXPECT_TRUE(sameStats(direct.stats, rep.result.stats));
+    EXPECT_EQ(direct.output, rep.result.output);
+    EXPECT_EQ(direct.output.substr(0, 1), "3");
+}
+
+TEST(Engine, RunImageStartsNoLargerThanThePristineImage)
+{
+    // The engine's run image is a clone of the cached pristine image:
+    // it must hold no more pages than the pristine image, which itself
+    // holds a small fraction of the address space.
+    Engine eng(1);
+    RunRequest req = request(kLists, Checking::Full);
+    size_t pristinePages = 0, clonePages = 0, cloneDirty = 0;
+    bool sameContents = false;
+    req.hooks.imageMutator = [&](Memory &image, const CompiledUnit &unit) {
+        pristinePages = unit.memory.residentPages();
+        clonePages = image.residentPages();
+        cloneDirty = image.dirtyPages();
+        sameContents = image == unit.memory;
+    };
+    for (int pass = 0; pass < 2; ++pass) { // cold, then cached
+        RunReport rep = eng.run(req);
+        ASSERT_TRUE(rep.ok()) << rep.status.message;
+        EXPECT_EQ(rep.cacheHit, pass == 1);
+        EXPECT_TRUE(sameContents);
+        EXPECT_GT(cloneDirty, 0u);
+        EXPECT_LE(clonePages, pristinePages);
+        const size_t addressPages =
+            req.opts.memBytes / ZeroPages::kPageBytes;
+        EXPECT_LT(pristinePages, addressPages / 16);
+    }
 }
 
 TEST(Engine, WallTimeAndThreadCountAreReported)

@@ -870,5 +870,43 @@ TEST(Machine, SnapshotRoundTripCarriesMemTagLocks)
     EXPECT_EQ(m2.memTagLock(0x200 / 4), scheme->primaryTag(pairWord));
 }
 
+TEST(Machine, MemTagLocksTouchOnlyPaintedPages)
+{
+    auto scheme = makeScheme(SchemeKind::Low3);
+    HardwareConfig hw;
+    hw.memTagging = true;
+    uint32_t pairWord = scheme->encodePointer(TypeId::Pair, 0x200);
+    Program p = assemble(strcat(R"(
+        main:
+            li r2, )", pairWord, R"(
+            li r3, 1234
+            st r3, 0(r2)
+            sys halt, r0
+    )"));
+    const uint32_t memBytes = 1u << 20;
+    Machine m(p, Memory(memBytes), hw, scheme.get());
+    m.run(p.symbol("main"));
+
+    // One painted word: one lock page written, in the machine and in
+    // its snapshot; every other lock page reads unpainted for free.
+    MachineSnapshot snap = m.snapshot();
+    ASSERT_EQ(snap.memTagLocks.size(), memBytes / 4);
+    EXPECT_EQ(snap.memTagLocks.dirtyPages(), 1u);
+    EXPECT_EQ(m.memTagLock(memBytes / 4 - 1), Machine::kMemTagUnpainted);
+
+    // MXSNAP02 still carries the plain lock bytes: 0xff for unpainted.
+    std::string bytes = snap.serialize();
+    std::string locks = bytes.substr(bytes.size() - memBytes / 4);
+    for (uint32_t w = 0; w < memBytes / 4; ++w)
+        ASSERT_EQ(static_cast<uint8_t>(locks[w]),
+                  w == 0x200 / 4 ? scheme->primaryTag(pairWord)
+                                 : Machine::kMemTagUnpainted)
+            << "lock byte " << w;
+    MachineSnapshot back;
+    ASSERT_TRUE(MachineSnapshot::deserialize(bytes, &back));
+    EXPECT_EQ(back.memTagLocks.dirtyPages(), 1u);
+    EXPECT_EQ(back.serialize(), bytes);
+}
+
 } // namespace
 } // namespace mxl

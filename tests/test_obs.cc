@@ -9,9 +9,11 @@
  * comparison used by tools/bench_diff.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -544,6 +546,65 @@ TEST(Trace, EngineEmitsCompileAndRunSpans)
     size_t frozen = tr.size();
     eng.runGrid(grid);
     EXPECT_EQ(tr.size(), frozen);
+}
+
+TEST(Trace, EngineEmitsOneImageSpanAndCountsImageTimePerRun)
+{
+    Engine eng(2);
+    TraceRecorder tr;
+    eng.setTrace(&tr);
+    std::vector<RunRequest> grid;
+    for (int i = 0; i < 4; ++i)
+        grid.push_back(request("(print " + std::to_string(i) + ")",
+                               Checking::Off,
+                               "img" + std::to_string(i)));
+    eng.runGrid(grid); // cold
+    eng.runGrid(grid); // cached
+
+    // One "image" span per executed cell, on the cell's track, ending
+    // before that cell's "run" span starts.
+    Json j = tr.toJson();
+    std::map<std::string, std::vector<const Json *>> images, runs;
+    for (size_t i = 0; i < j.size(); ++i) {
+        const Json &e = j.at(i);
+        const Json *args = e.find("args");
+        const Json *label = args ? args->find("label") : nullptr;
+        if (label == nullptr)
+            continue;
+        if (e.find("name")->str() == "image")
+            images[label->str()].push_back(&e);
+        else if (e.find("name")->str() == "run")
+            runs[label->str()].push_back(&e);
+    }
+    auto byTs = [](std::vector<const Json *> &v) {
+        std::sort(v.begin(), v.end(), [](const Json *x, const Json *y) {
+            return x->find("ts")->asInt() < y->find("ts")->asInt();
+        });
+    };
+    ASSERT_EQ(images.size(), 4u);
+    for (auto &[label, spans] : images) {
+        std::vector<const Json *> &cellRuns = runs[label];
+        ASSERT_EQ(spans.size(), 2u) << label;
+        ASSERT_EQ(cellRuns.size(), 2u) << label;
+        byTs(spans);
+        byTs(cellRuns);
+        for (size_t k = 0; k < 2; ++k) {
+            EXPECT_EQ(spans[k]->find("tid")->asInt(),
+                      cellRuns[k]->find("tid")->asInt());
+            EXPECT_LE(spans[k]->find("ts")->asInt() +
+                          spans[k]->find("dur")->asInt(),
+                      cellRuns[k]->find("ts")->asInt())
+                << label;
+        }
+    }
+
+    // The counter beside engine.{compile,run}_micros accrues every run.
+    Json snap = eng.metrics().snapshot();
+    const Json *counters = snap.find("counters");
+    ASSERT_NE(counters, nullptr);
+    ASSERT_NE(counters->find("engine.image_micros"), nullptr);
+    EXPECT_GT(counters->find("engine.image_micros")->asUint(0), 0u);
+    EXPECT_EQ(counters->find("engine.runs")->asUint(0), 8u);
 }
 
 TEST(Trace, DrainImportRoundTripsLaneTidAndTraceId)

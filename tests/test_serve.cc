@@ -644,6 +644,8 @@ TEST_F(ServeTest, TraceAndMetricsRelayHomeAcrossTheForkBoundary)
     const Json *counters = health.find("metrics")->find("counters");
     ASSERT_NE(counters, nullptr);
     EXPECT_GE(counters->find("engine.runs")->asUint(0), 2u);
+    ASSERT_NE(counters->find("engine.image_micros"), nullptr);
+    EXPECT_GT(counters->find("engine.image_micros")->asUint(0), 0u);
     ASSERT_NE(counters->find("engine.cache.hits"), nullptr);
     EXPECT_GE(counters->find("engine.cache.hits")->asUint(0), 1u);
     const Json *hists = health.find("metrics")->find("histograms");
@@ -686,11 +688,12 @@ TEST_F(ServeTest, TraceAndMetricsRelayHomeAcrossTheForkBoundary)
         }
     }
     // Parent request + per-cell exec spans; worker cell + engine
-    // compile/run spans, all stamped with the request's trace id.
+    // compile/image/run spans, all stamped with the request's trace id.
     EXPECT_EQ(spanNames.count("request"), 1u);
     EXPECT_EQ(spanNames.count("exec"), 1u);
     EXPECT_EQ(spanNames.count("cell"), 1u);
     EXPECT_EQ(spanNames.count("run"), 1u);
+    EXPECT_EQ(spanNames.count("image"), 1u);
     EXPECT_GE(tracedSpans, 5u); // request + 2 exec + 2 cell at least
     EXPECT_GE(workerLaneSpans, 2u);
     ::unlink(tracePath.c_str());

@@ -234,10 +234,109 @@ TEST(Snapshot, RestoreRejectsMismatchedImageSize)
     Machine m(unit.prog, unit.memory, unit.opts.hw, unit.scheme.get());
     ASSERT_EQ(m.run(unit.entry, 20), StopReason::CycleLimit);
     MachineSnapshot snap = m.snapshot();
-    snap.memory.resize(snap.memory.size() / 2);
+    snap.memory = Memory(snap.memory.size() / 2);
     Machine other(unit.prog, unit.memory, unit.opts.hw,
                   unit.scheme.get());
     EXPECT_THROW(other.restore(snap), MxlError);
+}
+
+// ---- page-sparse images -------------------------------------------------
+
+TEST(Snapshot, SnapshotAndRestoreCopyOnlyTouchedPages)
+{
+    CompiledUnit unit =
+        compileUnit("(print (+ 1 2))", baselineOptions(Checking::Off));
+    const size_t addressPages =
+        unit.layout.memBytes / ZeroPages::kPageBytes;
+    Machine m(unit.prog, unit.memory, unit.opts.hw, unit.scheme.get());
+    setupMachine(m, unit);
+    ASSERT_EQ(m.run(unit.entry, 30), StopReason::CycleLimit);
+
+    // The snapshot holds the pages the run touched, not the space.
+    const size_t touched = m.memory().dirtyPages();
+    EXPECT_GT(touched, 0u);
+    EXPECT_LT(touched, addressPages / 16);
+    MachineSnapshot snap = m.snapshot();
+    EXPECT_EQ(snap.memory.dirtyPages(), touched);
+    EXPECT_LT(snap.memory.residentPages(), addressPages / 16);
+    EXPECT_TRUE(snap.memory == m.memory());
+
+    // Restoring into a fresh machine copies the same pages back.
+    Machine fresh(unit.prog, unit.memory, unit.opts.hw, unit.scheme.get());
+    setupMachine(fresh, unit);
+    fresh.restore(snap);
+    EXPECT_EQ(fresh.memory().dirtyPages(), touched);
+    EXPECT_LT(fresh.memory().residentPages(), addressPages / 16);
+    EXPECT_TRUE(fresh.memory() == m.memory());
+
+    // And the restored run finishes exactly like the original.
+    EXPECT_EQ(fresh.resume(kDefaultMaxCycles), m.resume(kDefaultMaxCycles));
+    EXPECT_TRUE(fresh.stats() == m.stats());
+    EXPECT_EQ(fresh.output(), m.output());
+}
+
+TEST(Snapshot, MemoryEqualityAndSerializationAcrossSparseAndDense)
+{
+    const uint32_t bytes = 1u << 20;
+    const uint32_t lastWord = bytes / 4 - 1;
+
+    // Sparse: two words on distant pages; every other page unwritten.
+    Memory sparse(bytes);
+    sparse.word(5) = 0xdeadbeef;
+    sparse.word(lastWord) = 7;
+    EXPECT_EQ(sparse.dirtyPages(), 2u);
+
+    // Equality is by contents: a written zero equals an unwritten page.
+    Memory other(bytes);
+    other.word(5) = 0xdeadbeef;
+    other.word(lastWord) = 7;
+    other.word(4096) = 0;
+    EXPECT_EQ(other.dirtyPages(), 3u);
+    EXPECT_TRUE(sparse == other);
+    other.word(4096) = 1;
+    EXPECT_FALSE(sparse == other);
+    EXPECT_FALSE(sparse == Memory(bytes / 2));
+
+    // Dense: every word written through the raw array.
+    Memory dense(bytes);
+    uint32_t *raw = dense.data();
+    for (uint32_t i = 0; i <= lastWord; ++i)
+        raw[i] = i * 2654435761u;
+    EXPECT_EQ(dense.dirtyPages(), bytes / ZeroPages::kPageBytes);
+    Memory denseCopy = dense;
+    EXPECT_TRUE(denseCopy == dense);
+    EXPECT_FALSE(denseCopy == sparse);
+
+    // A partial last page.
+    Memory odd(4100);
+    odd.word(1024) = 9;
+    EXPECT_TRUE(Memory(odd) == odd);
+
+    // MXSNAP02 keeps the plain word list whatever the backing holds, and
+    // decoding restores the contents without densifying them.
+    for (const Memory *img : {&sparse, &dense, &odd}) {
+        MachineSnapshot snap;
+        snap.memory = *img;
+        std::string bytesOut = snap.serialize();
+
+        std::string tail;
+        auto put = [&](uint64_t v, int n) {
+            for (int i = 0; i < n; ++i)
+                tail += static_cast<char>((v >> (8 * i)) & 0xff);
+        };
+        put(img->size() / 4, 8);
+        for (uint32_t i = 0; i < img->size() / 4; ++i)
+            put(img->word(i), 4);
+        put(0, 8); // no memTagging locks
+        ASSERT_GE(bytesOut.size(), tail.size());
+        EXPECT_EQ(bytesOut.substr(bytesOut.size() - tail.size()), tail);
+
+        MachineSnapshot back;
+        ASSERT_TRUE(MachineSnapshot::deserialize(bytesOut, &back));
+        EXPECT_TRUE(back == snap);
+        EXPECT_LE(back.memory.dirtyPages(), img->dirtyPages());
+        EXPECT_EQ(back.serialize(), bytesOut);
+    }
 }
 
 // ---- the Engine seam --------------------------------------------------
@@ -311,10 +410,10 @@ TEST(Snapshot, EngineHookMutationPerturbsTheRun)
     mutated.hooks.snapshotHook = [](MachineSnapshot &snap,
                               const CompiledUnit &unit) {
         uint32_t lo =
-            snap.memory[unit.layout.cellAddr(Cell::FromLo) / 4] / 4;
+            snap.memory.word(unit.layout.cellAddr(Cell::FromLo) / 4) / 4;
         uint32_t hi = snap.regs[mxl::abi::hp] / 4;
-        for (uint32_t i = lo; i < hi && i < snap.memory.size(); ++i)
-            snap.memory[i] = 0;
+        for (uint32_t i = lo; i < hi && i < snap.memory.size() / 4; ++i)
+            snap.memory.word(i) = 0;
     };
     RunReport rep = eng.run(mutated);
     EXPECT_TRUE(rep.result.snapshotTaken);
