@@ -251,6 +251,20 @@ main(int argc, char **argv)
                 static_cast<int>(campaign.programs.size()) *
                     campaign.trials);
 
+    // Which executor ran the trials: only machineSetup (call-arg-type)
+    // and the memtag hardware keep a trial on the interpreter.
+    std::printf("trial tiers by class (translated / interpreter):\n");
+    for (size_t k = 0; k < r.classCount; ++k) {
+        int tiers[2] = {};
+        for (const TrialRecord &rec : r.trials)
+            if (static_cast<size_t>(rec.cls) == k &&
+                rec.outcome != Outcome::Skipped)
+                ++tiers[rec.backend == Backend::Translated ? 0 : 1];
+        std::printf("  %-18s %5d / %d\n", r.classLabels[k].c_str(),
+                    tiers[0], tiers[1]);
+    }
+    std::printf("\n");
+
     // ---- machine-readable export ----
     Json faultsDoc;
     {

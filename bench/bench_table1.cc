@@ -37,9 +37,10 @@ gridComputeSeconds(Engine &eng, std::vector<RunRequest> grid,
 {
     for (RunRequest &req : grid) {
         req.hooks.collectProfile = profiled;
-        // Profiled cells fall back to the interpreter (the translated
-        // backend has no per-PC seam), so pin the interpreter on both
-        // sides — this measures the profiler, not the backend.
+        // Pin the interpreter on both sides: its attachProfile counting
+        // path is the profiler with a per-issue cost (the translated
+        // executor folds counters it keeps anyway), and pinning measures
+        // the profiler, not the backend.
         req.exec.backend = Backend::Interpreter;
     }
     double sum = 0;

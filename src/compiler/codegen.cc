@@ -547,6 +547,16 @@ CodeGen::flushCold()
 void
 CodeGen::expr(Sx *e, Reg target)
 {
+    if (exprDepth_ >= kMaxExprDepth)
+        fatal("expression nested deeper than ", kMaxExprDepth,
+              " levels (after expansion)");
+    struct Depth
+    {
+        int &d;
+        explicit Depth(int &depth) : d(depth) { ++d; }
+        ~Depth() { --d; }
+    } depth(exprDepth_);
+
     switch (e->kind) {
       case SxKind::Int:
         if (!scheme_.fixnumInRange(e->ival))

@@ -105,6 +105,16 @@ class CodeGen
     };
 
     // ---- expression compilation (codegen.cc) ----
+
+    /**
+     * Deepest expr() recursion compiled. The reader bounds source
+     * nesting, but expansions are deeper than their source — a
+     * (list ...) becomes one nested cons per element — so codegen
+     * bounds its own recursion and reports a fatal() instead of
+     * overflowing the host stack.
+     */
+    static constexpr int kMaxExprDepth = 1000;
+
     void expr(Sx *e, Reg target);
     void compileCall(Sx *head, const std::vector<Sx *> &args, Reg target);
 
@@ -254,6 +264,7 @@ class CodeGen
     std::unordered_map<const Sx *, FnInfo> functions_;
     FrameEnv env_;
     int tempTop_ = 0; ///< temps r10..r10+tempTop_-1 in use
+    int exprDepth_ = 0; ///< expr() frames live (kMaxExprDepth)
     bool libArithInline_ = false;
     int procedures_ = 0;
     std::vector<std::function<void()>> cold_;

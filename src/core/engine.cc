@@ -223,18 +223,29 @@ Engine::execute(const RunRequest &req)
     if (c.status.ok()) {
         // Tier selection: a non-Interpreter request runs translated
         // when the unit translated and no hook needs the interpreter's
-        // seams. Auto falls back (counted + stamped); an explicit
-        // Translated request that cannot be satisfied is an error.
+        // seams. Auto falls back (counted per reason + stamped); an
+        // explicit Translated request that cannot be satisfied is an
+        // error.
         bool useTrans = false;
         std::string note;
+        Counter *reason = nullptr;
         if (want != Backend::Interpreter) {
-            if (req.hooks.needsInterpreter())
-                note = "request hooks need the interpreter's seams";
-            else if (!c.trans)
+            if (req.hooks.needsInterpreter()) {
+                if (req.hooks.machineSetup) {
+                    note = "machineSetup needs a live interpreter Machine";
+                    reason = &mFallbackMachineSetup_;
+                } else {
+                    note = "the cached translation describes the "
+                           "untransformed unit";
+                    reason = &mFallbackUnitTransform_;
+                }
+            } else if (!c.trans) {
                 note = c.transNote.empty() ? "translation refused"
                                            : c.transNote;
-            else
+                reason = &mFallbackRefused_;
+            } else {
                 useTrans = true;
+            }
         }
         rep.backend = useTrans ? Backend::Translated
                                : Backend::Interpreter;
@@ -247,6 +258,7 @@ Engine::execute(const RunRequest &req)
                 rep.backendFellBack = true;
                 rep.backendNote = note;
                 mFallbacks_.inc();
+                reason->inc();
             }
             try {
                 std::shared_ptr<const CompiledUnit> unit = c.unit;
@@ -275,6 +287,21 @@ Engine::execute(const RunRequest &req)
                                  tr->nowMicros() - trI0, req.label);
                 const char *runCat = useTrans ? "engine/translated"
                                               : "engine/interpreter";
+                // The snapshot hook, wrapped to mark the pause on this
+                // worker's track when tracing. Hook-free requests copy
+                // nothing.
+                std::function<void(MachineSnapshot &, const CompiledUnit &)>
+                    hook;
+                if (req.hooks.pauseAtCycle > 0 && req.hooks.snapshotHook) {
+                    hook = req.hooks.snapshotHook;
+                    if (tr)
+                        hook = [tr, tid, inner = std::move(hook),
+                                label = req.label](MachineSnapshot &snap,
+                                                   const CompiledUnit &u) {
+                            tr->instant("snapshot", "engine", tid, label);
+                            inner(snap, u);
+                        };
+                }
                 auto tRun = std::chrono::steady_clock::now();
                 uint64_t trR0 = tr ? tr->nowMicros() : 0;
                 if (useTrans) {
@@ -283,6 +310,9 @@ Engine::execute(const RunRequest &req)
                     controls.deadlineSeconds = req.exec.deadlineSeconds;
                     controls.installTrapHandlers =
                         req.exec.installTrapHandlers;
+                    controls.pauseAtCycle = req.hooks.pauseAtCycle;
+                    controls.snapshotHook = std::move(hook);
+                    controls.collectProfile = req.hooks.collectProfile;
                     rep.result = runTranslated(*unit, *c.trans,
                                                std::move(image), controls);
                 } else {
@@ -293,22 +323,8 @@ Engine::execute(const RunRequest &req)
                         req.exec.installTrapHandlers;
                     controls.machineSetup = req.hooks.machineSetup;
                     controls.pauseAtCycle = req.hooks.pauseAtCycle;
-                    controls.snapshotHook = req.hooks.snapshotHook;
+                    controls.snapshotHook = std::move(hook);
                     controls.collectProfile = req.hooks.collectProfile;
-                    if (tr && req.hooks.snapshotHook) {
-                        // Mark the pauseAtCycle pause on this worker's
-                        // track.
-                        auto inner = req.hooks.snapshotHook;
-                        std::string label = req.label;
-                        controls.snapshotHook =
-                            [tr, tid, inner,
-                             label](MachineSnapshot &snap,
-                                    const CompiledUnit &unit) {
-                                tr->instant("snapshot", "engine", tid,
-                                            label);
-                                inner(snap, unit);
-                            };
-                    }
                     rep.result =
                         runUnitOn(*unit, std::move(image), controls);
                 }

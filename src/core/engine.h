@@ -129,10 +129,10 @@ struct ExecPolicy
 /**
  * The instrumentation and mutation seams of a request. None of these
  * participate in the compiled-unit cache key — requests that differ
- * only in hooks share a compilation. Every hook except imageMutator
- * needs the interpreter's seams, so setting one makes an `Auto`
- * request fall back (see needsInterpreter()); imageMutator mutates the
- * per-run image copy, which both backends consume identically.
+ * only in hooks share a compilation. Both backends honor imageMutator,
+ * the pause/snapshot pair and collectProfile identically; only
+ * machineSetup and unitTransform need the interpreter, so setting one
+ * makes an `Auto` request fall back (see needsInterpreter()).
  */
 struct Hooks
 {
@@ -156,8 +156,9 @@ struct Hooks
      * the run then resumes from the (mutated) snapshot. 0, or a missing
      * hook, disables the pause. This is the heap-resident fault seam
      * (src/faults/): unlike imageMutator, the hook sees state the
-     * program built at run time, not the pristine image.
-     * Interpreter-only. See RunControls::pauseAtCycle.
+     * program built at run time, not the pristine image. Supported
+     * by both backends: the translated executor pauses into the same
+     * snapshot encoding. See RunControls::pauseAtCycle.
      */
     uint64_t pauseAtCycle = 0;
 
@@ -168,8 +169,9 @@ struct Hooks
     /**
      * Collect the per-PC instruction profile for this cell
      * (RunControls::collectProfile); the histogram comes back in
-     * RunReport::result.profile. Interpreter-only: the translated
-     * executor keeps per-index counts in a different shape.
+     * RunReport::result.profile. Supported by both backends: the
+     * translated executor folds its per-index counters into the same
+     * histogram.
      */
     bool collectProfile = false;
 
@@ -179,7 +181,9 @@ struct Hooks
      * (analysis/checkelim.h runs here). The transform must return a
      * new or unchanged unit — the cached unit itself is shared and
      * immutable; returning null is an InternalError. Interpreter-only:
-     * the cached translation describes the untransformed unit.
+     * the cached translation describes the untransformed unit (and
+     * perfbench's ledger replays cells through needsInterpreter(), so
+     * translating transformed units changes it too).
      */
     std::function<std::shared_ptr<const CompiledUnit>(
         std::shared_ptr<const CompiledUnit>)>
@@ -201,8 +205,7 @@ struct Hooks
     bool needsInterpreter() const
     {
         return static_cast<bool>(machineSetup) ||
-               static_cast<bool>(unitTransform) || collectProfile ||
-               (pauseAtCycle > 0 && static_cast<bool>(snapshotHook));
+               static_cast<bool>(unitTransform);
     }
 };
 
@@ -343,7 +346,9 @@ class Engine
      * maintains: engine.cache.{hits,misses,evictions} and
      * engine.{compile,image,run}_micros counters (image: cloning the
      * pristine image and applying imageMutator), engine.runs,
-     * engine.timeouts (deadline expiries), engine.backend.fallbacks,
+     * engine.timeouts (deadline expiries), engine.backend.fallbacks
+     * and its split by reason, engine.backend.fallback.{machine_setup,
+     * unit_transform,translation_refused},
      * engine.queue_wait_micros and engine.cell_micros histograms, and
      * one engine.worker.<n>.busy_micros counter per started worker
      * (utilization = busy_micros / grid wall time). Callers (bench
@@ -444,6 +449,12 @@ class Engine
     Counter &mRuns_ = metrics_.counter("engine.runs");
     Counter &mTimeouts_ = metrics_.counter("engine.timeouts");
     Counter &mFallbacks_ = metrics_.counter("engine.backend.fallbacks");
+    Counter &mFallbackMachineSetup_ =
+        metrics_.counter("engine.backend.fallback.machine_setup");
+    Counter &mFallbackUnitTransform_ =
+        metrics_.counter("engine.backend.fallback.unit_transform");
+    Counter &mFallbackRefused_ =
+        metrics_.counter("engine.backend.fallback.translation_refused");
     Histogram &mQueueWait_ =
         metrics_.histogram("engine.queue_wait_micros");
     Histogram &mCellMicros_ = metrics_.histogram("engine.cell_micros");

@@ -15,6 +15,15 @@
  * register or memory write. Per-index execution/stall/squash counters
  * are folded into a CycleStats once at run end; an assertion checks the
  * rebuilt total against the live cycle counter on every run.
+ *
+ * Pause and resume live off the hot path. A paused run is two executor
+ * calls ("legs"): an armed pause only lowers the first leg's cycle
+ * guard limit, and when the guard fires for it the leg returns its
+ * state, resume point (pc, delay slots left) included, as a
+ * MachineSnapshot; the second leg starts from that snapshot through a
+ * cold path that replays any remaining delay-slot steps one at a time,
+ * as the interpreter's loop does. Each leg sees one fixed image
+ * mapping, so the hot loop's memory base stays a constant.
  */
 
 #include "exec/texec.h"
@@ -23,6 +32,7 @@
 #include <chrono>
 
 #include "exec/texec_internal.h"
+#include "machine/snapshot.h"
 #include "support/bits.h"
 #include "support/format.h"
 #include "support/panic.h"
@@ -52,6 +62,86 @@ contextPanic(const Program &prog, int pc, uint64_t cycle,
                           "', cycle ", cycle, "]"));
 }
 
+/**
+ * Add the per-index counters' accounting to @p st: the interpreter's
+ * CycleStats attribution, rebuilt once instead of per issue.
+ */
+void
+foldCounts(const std::vector<Instruction> &code, const uint64_t *EC,
+           const uint64_t *ST, const uint64_t *SQ, int n, CycleStats &st)
+{
+    for (int i = 0; i < n; ++i) {
+        const uint64_t e = EC[i], stl = ST[i], sq = SQ[i];
+        if ((e | stl | sq) == 0)
+            continue;
+        const Instruction &inst = code[i];
+        const int f = inst.ann.fromChecking ? 1 : 0;
+        const uint64_t charged =
+            e * static_cast<uint64_t>(opCycles(inst.op)) + stl + sq;
+        st.total += charged;
+        st.byPurpose[static_cast<int>(inst.ann.purpose)][f] += charged;
+        st.byCat[static_cast<int>(inst.ann.cat)][f] += charged;
+        st.loadStalls += stl;
+        st.squashed += sq;
+        if (e == 0)
+            continue;
+        st.instructions += e;
+        switch (inst.op) {
+          case Opcode::And:
+          case Opcode::Andi:
+            st.andOps += e;
+            break;
+          case Opcode::Mov:
+            st.moveOps += e;
+            break;
+          case Opcode::Noop:
+            st.noops += e;
+            break;
+          case Opcode::Ld:
+          case Opcode::Ldt:
+            st.loads += e;
+            break;
+          case Opcode::St:
+          case Opcode::Stt:
+            st.stores += e;
+            break;
+          default:
+            if (isCondBranch(inst.op))
+                st.branches += e;
+            break;
+        }
+    }
+}
+
+/**
+ * Add the counters to the per-PC profile: an issue count is EC[i], and
+ * every cycle charged to i is EC[i] * opCycles + its stalls + its
+ * squashed slots — Machine::attachProfile's attribution exactly.
+ */
+void
+addProfile(PcProfile &prof, const TranslatedOp *ops, const uint64_t *EC,
+           const uint64_t *ST, const uint64_t *SQ, int n)
+{
+    for (int i = 0; i < n; ++i) {
+        prof.execCount[i] += EC[i];
+        prof.cycles[i] += EC[i] * ops[i].cycles + ST[i] + SQ[i];
+    }
+}
+
+/** What one executor call does besides running (see runLegs). */
+struct Leg
+{
+    /** Origin of the wall-clock deadline, shared by both legs. */
+    std::chrono::steady_clock::time_point start;
+    /** Start from this paused state (its memory is already the image). */
+    const MachineSnapshot *from = nullptr;
+    /** Pause into this snapshot once cycles pass pauseAtCycle; null for
+     *  a leg that must not pause. */
+    MachineSnapshot *pauseInto = nullptr;
+    /** Add the per-index counters here (collectProfile). */
+    PcProfile *prof = nullptr;
+};
+
 #if defined(__GNUC__)
 
 /**
@@ -60,10 +150,14 @@ contextPanic(const Program &prog, int pc, uint64_t cycle,
  * and returns without touching the other arguments. GCC resolves
  * &&label identically on every call of the same function, so the
  * table bound here is valid for all later run calls.
+ *
+ * A leg that pauses returns with RunResult::snapshotTaken set, its
+ * state in *leg.pauseInto and the image moved there; nothing else in
+ * the result is meaningful.
  */
 RunResult
 coreRun(const CompiledUnit &unit, const TranslatedUnit &tu, Memory &image,
-        const TranslatedControls &controls,
+        const TranslatedControls &controls, const Leg &leg,
         const void *const **labelsOut)
 {
     if (labelsOut) {
@@ -108,6 +202,7 @@ coreRun(const CompiledUnit &unit, const TranslatedUnit &tu, Memory &image,
     uint64_t *const ST = EC + n;                 // stall cycles
     uint64_t *const SQ = ST + n;                 // squash cycles
     uint64_t cycles = 0;
+    RunResult r; // r.stats: the accounting the counters add onto
 
     int trapHandler[3] = {-1, -1, -1};
     if (controls.installTrapHandlers) {
@@ -124,12 +219,21 @@ coreRun(const CompiledUnit &unit, const TranslatedUnit &tu, Memory &image,
 
     // Budget: effLimit == maxCycles without a deadline; with one, the
     // run pauses every kDeadlineChunkCycles to poll the wall clock,
-    // exactly like runUnitOn()'s Machine::resume chunking.
+    // exactly like runUnitOn()'s Machine::resume chunking. An armed
+    // snapshot pause (at most one per run) caps effLimit too, so the
+    // guard that fires for it is the one every step already runs.
     const uint64_t maxCycles = controls.maxCycles;
     const bool deadlined = controls.deadlineSeconds > 0;
-    const auto start = std::chrono::steady_clock::now();
-    uint64_t effLimit =
-        deadlined ? std::min(maxCycles, kDeadlineChunkCycles) : maxCycles;
+    const auto start = leg.start;
+    const uint64_t pauseAt = controls.pauseAtCycle;
+    bool pauseArmed = leg.pauseInto != nullptr;
+    auto nextLimit = [&]() -> uint64_t {
+        const uint64_t lim =
+            deadlined ? std::min(maxCycles, cycles + kDeadlineChunkCycles)
+                      : maxCycles;
+        return pauseArmed ? std::min(lim, pauseAt) : lim;
+    };
+    uint64_t effLimit = nextLimit();
 
     StopReason stop = StopReason::Running;
     int64_t errorCode = 0;
@@ -138,32 +242,43 @@ coreRun(const CompiledUnit &unit, const TranslatedUnit &tu, Memory &image,
     bool timedOut = false;
     std::string out;
 
-    // True when the run must stop (cycle limit / deadline); false when
-    // only the deadline-poll chunk expired and execution continues.
+    // True when the run must leave the hot loop: for the armed snapshot
+    // pause (checked first: runUnitOn() pauses before it looks at the
+    // budget again; `stop` stays Running) or a stop (cycle limit /
+    // deadline; `stop` set). False when only the deadline-poll chunk
+    // expired and execution continues.
     auto overBudget = [&]() -> bool {
+        if (pauseArmed && cycles > pauseAt) {
+            pauseArmed = false;
+            return true;
+        }
         if (cycles > maxCycles) {
             stop = StopReason::CycleLimit;
             return true;
         }
-        if (std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - start)
-                .count() >= controls.deadlineSeconds) {
+        if (deadlined && std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                                 .count() >= controls.deadlineSeconds) {
             timedOut = true;
             stop = StopReason::CycleLimit;
             return true;
         }
-        effLimit = std::min(maxCycles, cycles + kDeadlineChunkCycles);
+        effLimit = nextLimit();
         return false;
     };
 
 #define IDX(p) ((p)->idx)
 
     // The loop-top cycle guard: runs before every step, like runLoop().
-#define BUDGET()                                                            \
+    // EXIT names the kind of guard site, a cold label that works out
+    // the step about to run (its instruction index and the delay slots
+    // left in its control group: the resume point a snapshot taken here
+    // records), so a site costs no more than a plain guard.
+#define BUDGET(EXIT)                                                        \
     do {                                                                    \
         if (__builtin_expect(cycles > effLimit, 0)) {                       \
             if (overBudget())                                               \
-                goto done;                                                  \
+                goto EXIT;                                                  \
         }                                                                   \
     } while (0)
 
@@ -186,7 +301,7 @@ coreRun(const CompiledUnit &unit, const TranslatedUnit &tu, Memory &image,
 #define NEXT(nip)                                                           \
     do {                                                                    \
         ip = (nip);                                                         \
-        BUDGET();                                                           \
+        BUDGET(exit_at_ip);                                                 \
         goto *const_cast<void *>(ip->handler);                              \
     } while (0)
 
@@ -357,7 +472,7 @@ coreRun(const CompiledUnit &unit, const TranslatedUnit &tu, Memory &image,
         ISSUE(ip);                                                          \
         SEMA(ip);                                                           \
         const TranslatedOp *const q_ = ip + 1;                              \
-        BUDGET();                                                           \
+        BUDGET(exit_mid_pair);                                              \
         ISSUE(q_);                                                          \
         SEMB(q_);                                                           \
         NEXT(ip + 2);                                                       \
@@ -369,8 +484,20 @@ coreRun(const CompiledUnit &unit, const TranslatedUnit &tu, Memory &image,
     int btarget = -1;
     bool btaken = false;
 
-    BUDGET();
-    goto *const_cast<void *>(ip->handler);
+    // Pause/resume state: the resume point a guard exit records, and the
+    // branch fields a loaded snapshot carries (Machine's in-flight
+    // branch state — stale once its group is done, but part of the
+    // snapshot encoding) until a branch runs here and br takes over.
+    int atPc = tu.entry;
+    int atSlots = 0;
+    int staleIdx = -1;
+    int staleTarget = -1;
+    bool staleTaken = false;
+    bool staleAnnul = false;
+
+    if (leg.from)
+        goto load_state;
+    NEXT(ip);
 
     // ------------------------------------------------------------------
     // Straight-line handlers (also reachable mid-block via trap returns
@@ -720,19 +847,19 @@ branch_common: {
         // Two squashed cycles, charged to the branch. The branch's own
         // issue already cleared the load interlock, matching the
         // interpreter's per-squash pendingLoadReg_ reset.
-        BUDGET();
+        BUDGET(exit_slot1);
         cycles++;
         SQ[bidx]++;
-        BUDGET();
+        BUDGET(exit_slot2);
         cycles++;
         SQ[bidx]++;
     } else {
         const TranslatedOp *s = br + 1;
-        BUDGET();
+        BUDGET(exit_slot1);
         ISSUE(s);
         SLOT_EXEC(s);
         s = br + 2;
-        BUDGET();
+        BUDGET(exit_slot2);
         ISSUE(s);
         SLOT_EXEC(s);
     }
@@ -784,57 +911,138 @@ L_End:
     // Fell off the end of the code (or a trap return landed there).
     contextPanic(unit.prog, n, cycles, strcat("pc out of range: ", n));
 
+    // ------------------------------------------------------------------
+    // Guard exits, the snapshot pause, and the cold re-entry path.
+    // ------------------------------------------------------------------
+
+exit_at_ip:
+    atPc = static_cast<int>(ip - ops);
+    atSlots = 0;
+    goto budget_exit;
+exit_mid_pair: // FUSED2's guard between the halves at ip and ip + 1
+    atPc = static_cast<int>(ip + 1 - ops);
+    atSlots = 0;
+    goto budget_exit;
+exit_slot1:
+    atPc = static_cast<int>(IDX(br)) + 1;
+    atSlots = 2;
+    goto budget_exit;
+exit_slot2:
+    atPc = static_cast<int>(IDX(br)) + 2;
+    atSlots = 1;
+budget_exit: {
+    // A stop, or the snapshot pause: the state Machine::snapshot()
+    // captures at this guard. The image moves in (no copy), the
+    // counters fold into the stats, and the leg ends.
+    if (stop != StopReason::Running)
+        goto done;
+    MachineSnapshot &s = *leg.pauseInto;
+    std::copy(regs, regs + 32, s.regs);
+    s.pc = atPc;
+    std::copy(trapHandler, trapHandler + 3, s.trapHandler);
+    s.memory = std::move(image);
+    s.pendingLoadReg = pending;
+    s.slotsRemaining = atSlots;
+    if (br) {
+        s.branchTaken = btaken;
+        s.annulSlots = (br->annul & (btaken ? 1 : 2)) != 0;
+        s.branchTarget = btarget;
+        s.branchIdx = static_cast<int>(IDX(br));
+    } else {
+        s.branchTaken = staleTaken;
+        s.annulSlots = staleAnnul;
+        s.branchTarget = staleTarget;
+        s.branchIdx = staleIdx;
+    }
+    s.stats = r.stats;
+    foldCounts(unit.prog.code, EC, ST, SQ, n, s.stats);
+    if (leg.prof)
+        addProfile(*leg.prof, ops, EC, ST, SQ, n);
+    s.output = std::move(out);
+    s.exitValue = exitValue;
+    s.errorCode = errorCode;
+    s.stop = StopReason::CycleLimit;
+    s.faultIndex = faultIndex;
+    r.snapshotTaken = true;
+    return r;
+}
+
+load_state: {
+    // Adopt *leg.from wholesale, like Machine::restore() (the caller
+    // already made its memory the image).
+    const MachineSnapshot &s = *leg.from;
+    if (s.memTagLocks.size() != 0)
+        panic("the translated backend cannot honor a snapshot carrying "
+              "memory-tag locks");
+    std::copy(s.regs, s.regs + 32, regs);
+    // A handler past the code lands on the pc-out-of-range sentinel.
+    for (int k = 0; k < 3; ++k)
+        trapHandler[k] = std::min(s.trapHandler[k], n);
+    // A register number outside 0..31 never matches a reader, and the
+    // next issue clears it either way.
+    pending = s.pendingLoadReg >= 0 && s.pendingLoadReg < 32
+                  ? s.pendingLoadReg
+                  : -1;
+    atPc = s.pc;
+    atSlots = s.slotsRemaining;
+    staleTaken = s.branchTaken;
+    staleAnnul = s.annulSlots;
+    staleTarget = s.branchTarget;
+    staleIdx = s.branchIdx;
+    if (atSlots > 0 && staleAnnul && (staleIdx < 0 || staleIdx >= n))
+        contextPanic(unit.prog, atPc, s.stats.total,
+                     strcat("squashed slots of branch ", staleIdx,
+                            " out of range"));
+    r.stats = s.stats;
+    cycles = s.stats.total;
+    out = s.output;
+    exitValue = s.exitValue;
+    errorCode = s.errorCode;
+    faultIndex = s.faultIndex;
+    effLimit = nextLimit();
+}
+
+resume_at:
+    // One interpreter loop step from the loaded state: the guard, then
+    // either dispatch at atPc or one delay-slot step of the loaded
+    // control group (a squash cycle or a slot instruction), repeated
+    // until the group is done.
+    BUDGET(budget_exit);
+    if (atPc < 0 || atPc >= n)
+        contextPanic(unit.prog, atPc, cycles,
+                     strcat("pc out of range: ", atPc));
+    if (atSlots <= 0) {
+        ip = ops + atPc;
+        goto *const_cast<void *>(ip->handler);
+    }
+    if (staleAnnul) {
+        cycles++;
+        SQ[staleIdx]++;
+        pending = -1;
+    } else {
+        const TranslatedOp *const s = ops + atPc;
+        ISSUE(s);
+        SLOT_EXEC(s);
+    }
+    if (--atSlots == 0 && staleTaken) {
+        if (staleTarget < 0 || staleTarget >= n)
+            contextPanic(unit.prog, atPc, cycles, "bad branch target");
+        atPc = staleTarget;
+    } else {
+        ++atPc;
+    }
+    goto resume_at;
+
 done: {
     // ------------------------------------------------------------------
     // Fold the per-index counters into the interpreter's CycleStats.
     // ------------------------------------------------------------------
-    RunResult r;
-    CycleStats &st = r.stats;
-    const auto &code = unit.prog.code;
-    for (int i = 0; i < n; ++i) {
-        const uint64_t e = EC[i], stl = ST[i], sq = SQ[i];
-        if ((e | stl | sq) == 0)
-            continue;
-        const Instruction &inst = code[i];
-        const int f = inst.ann.fromChecking ? 1 : 0;
-        const uint64_t charged =
-            e * static_cast<uint64_t>(opCycles(inst.op)) + stl + sq;
-        st.total += charged;
-        st.byPurpose[static_cast<int>(inst.ann.purpose)][f] += charged;
-        st.byCat[static_cast<int>(inst.ann.cat)][f] += charged;
-        st.loadStalls += stl;
-        st.squashed += sq;
-        if (e == 0)
-            continue;
-        st.instructions += e;
-        switch (inst.op) {
-          case Opcode::And:
-          case Opcode::Andi:
-            st.andOps += e;
-            break;
-          case Opcode::Mov:
-            st.moveOps += e;
-            break;
-          case Opcode::Noop:
-            st.noops += e;
-            break;
-          case Opcode::Ld:
-          case Opcode::Ldt:
-            st.loads += e;
-            break;
-          case Opcode::St:
-          case Opcode::Stt:
-            st.stores += e;
-            break;
-          default:
-            if (isCondBranch(inst.op))
-                st.branches += e;
-            break;
-        }
-    }
-    MXL_ASSERT(st.total == cycles,
+    foldCounts(unit.prog.code, EC, ST, SQ, n, r.stats);
+    MXL_ASSERT(r.stats.total == cycles,
                "translated-backend cycle accounting diverged: rebuilt ",
-               st.total, " vs live ", cycles);
+               r.stats.total, " vs live ", cycles);
+    if (leg.prof)
+        addProfile(*leg.prof, ops, EC, ST, SQ, n);
 
     r.output = std::move(out);
     r.stop = stop;
@@ -881,7 +1089,7 @@ labelTable()
         TranslatedUnit dummyTu;
         Memory dummyMem(0);
         TranslatedControls dummyControls;
-        coreRun(dummyUnit, dummyTu, dummyMem, dummyControls, &t);
+        coreRun(dummyUnit, dummyTu, dummyMem, dummyControls, Leg{}, &t);
         return t;
     }();
     return table;
@@ -893,6 +1101,54 @@ labelTable()
 
 #if defined(__GNUC__)
 
+namespace {
+
+/**
+ * Run on @p image — from the entry point, or from @p from (whose memory
+ * @p image already is) — with the pause seam: a run paused by its
+ * first leg hands the snapshot to the hook and continues from it in a
+ * second leg, the counterpart of runUnitOn()'s snapshot/restore/resume.
+ */
+RunResult
+runLegs(const CompiledUnit &unit, const TranslatedUnit &tu, Memory &image,
+        const MachineSnapshot *from, const TranslatedControls &controls)
+{
+    Leg leg;
+    leg.start = std::chrono::steady_clock::now();
+    leg.from = from;
+    std::shared_ptr<PcProfile> prof;
+    if (controls.collectProfile) {
+        prof = std::make_shared<PcProfile>();
+        prof->resize(tu.nInsts);
+        leg.prof = prof.get();
+    }
+    std::unique_ptr<MachineSnapshot> paused;
+    if (controls.pauseAtCycle > 0 &&
+        controls.pauseAtCycle < controls.maxCycles &&
+        controls.snapshotHook) {
+        paused = std::make_unique<MachineSnapshot>();
+        leg.pauseInto = paused.get();
+    }
+    RunResult r = coreRun(unit, tu, image, controls, leg, nullptr);
+    if (r.snapshotTaken) {
+        const uint32_t bytes = paused->memory.size();
+        controls.snapshotHook(*paused, unit);
+        // The hook may have changed anything; the run stays paused.
+        if (paused->memory.size() != bytes)
+            panic("snapshot image size mismatch: ", paused->memory.size(),
+                  " != ", bytes);
+        image = std::move(paused->memory);
+        leg.from = paused.get();
+        leg.pauseInto = nullptr;
+        r = coreRun(unit, tu, image, controls, leg, nullptr);
+        r.snapshotTaken = true;
+    }
+    r.profile = std::move(prof);
+    return r;
+}
+
+} // namespace
+
 const void *const *
 texecLabelTable()
 {
@@ -903,7 +1159,17 @@ RunResult
 runTranslated(const CompiledUnit &unit, const TranslatedUnit &tu,
               Memory image, const TranslatedControls &controls)
 {
-    return coreRun(unit, tu, image, controls, nullptr);
+    return runLegs(unit, tu, image, nullptr, controls);
+}
+
+RunResult
+resumeTranslated(const CompiledUnit &unit, const TranslatedUnit &tu,
+                 MachineSnapshot snap, const TranslatedControls &controls)
+{
+    MXL_ASSERT(snap.stop == StopReason::CycleLimit,
+               "resume requires a CycleLimit-paused snapshot");
+    Memory image = std::move(snap.memory);
+    return runLegs(unit, tu, image, &snap, controls);
 }
 
 #else // !__GNUC__
@@ -917,6 +1183,13 @@ texecLabelTable()
 RunResult
 runTranslated(const CompiledUnit &, const TranslatedUnit &, Memory,
               const TranslatedControls &)
+{
+    panic("translated backend requires computed-goto support");
+}
+
+RunResult
+resumeTranslated(const CompiledUnit &, const TranslatedUnit &,
+                 MachineSnapshot, const TranslatedControls &)
 {
     panic("translated backend requires computed-goto support");
 }

@@ -17,20 +17,29 @@
  * folded into a CycleStats at run end, so the hot loop carries three
  * array increments instead of the interpreter's full attribution work.
  *
+ * Run-time seams. A run can pause into a MachineSnapshot (the exact
+ * encoding Machine::snapshot() produces, pipeline state included),
+ * hand it to a hook that may mutate it, and resume from it; a run can
+ * also start from a snapshot another executor paused
+ * (resumeTranslated). The per-index counters double as the per-PC
+ * profile (RunResult::profile). Neither seam touches the hook-free
+ * hot loop: the pause folds into the cycle guard's limit.
+ *
  * What the backend does NOT support — and why refusal is safe:
  * translateUnit() declines units it cannot prove equivalent (malformed
  * delay-slot structure per analysis::buildCfg, tag-hardware opcodes
  * without the matching HardwareConfig bit, trap-capable ops scheduled
- * into delay slots), and runTranslated() has no machineSetup /
- * snapshot / pause / per-PC-profile seams. The Engine treats both as
- * tier-fallback conditions: with ExecPolicy::backend == Auto the run
- * transparently drops to the interpreter (core/engine.h).
+ * into delay slots, memory-tagging hardware), and there is no
+ * machineSetup seam (the hook takes a live Machine). The Engine treats
+ * both as tier-fallback conditions: with ExecPolicy::backend == Auto
+ * the run transparently drops to the interpreter (core/engine.h).
  */
 
 #ifndef MXLISP_EXEC_TEXEC_H_
 #define MXLISP_EXEC_TEXEC_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -122,6 +131,20 @@ struct TranslatedControls
     double deadlineSeconds = 0;
     /** Honor the unit's software trap handlers (RunControls). */
     bool installTrapHandlers = true;
+
+    /**
+     * Pause once the cycle count first exceeds this value (0 = never),
+     * hand a MachineSnapshot of the live state to @p snapshotHook, and
+     * resume from the (possibly mutated) snapshot — RunControls::
+     * pauseAtCycle's semantics, byte for byte. The image moves into the
+     * snapshot and back; nothing is copied.
+     */
+    uint64_t pauseAtCycle = 0;
+    std::function<void(MachineSnapshot &, const CompiledUnit &)>
+        snapshotHook;
+
+    /** Fill RunResult::profile (RunControls::collectProfile). */
+    bool collectProfile = false;
 };
 
 /**
@@ -131,6 +154,19 @@ struct TranslatedControls
  */
 RunResult runTranslated(const CompiledUnit &unit, const TranslatedUnit &tu,
                         Memory image, const TranslatedControls &controls);
+
+/**
+ * Continue the run paused in @p snap (stop == CycleLimit) up to
+ * controls.maxCycles total cycles: the counterpart of
+ * Machine::restore() + Machine::resume(). Every field restore() honors
+ * is honored, and CycleStats and output continue from the snapshot's.
+ * A snapshot this executor cannot honor — one carrying memory-tag
+ * locks, or a paused-into state no translated op can continue — throws
+ * a panic MxlError rather than diverging.
+ */
+RunResult resumeTranslated(const CompiledUnit &unit,
+                           const TranslatedUnit &tu, MachineSnapshot snap,
+                           const TranslatedControls &controls);
 
 } // namespace mxl
 

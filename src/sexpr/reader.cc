@@ -76,6 +76,19 @@ class Reader
         }
     }
 
+    /** Counts one nesting level for as long as it lives. */
+    struct Nest
+    {
+        explicit Nest(Reader &r) : r_(r)
+        {
+            if (++r_.depth_ > kMaxReadDepth)
+                r_.err(strcat("forms nested deeper than ", kMaxReadDepth,
+                              " levels"));
+        }
+        ~Nest() { --r_.depth_; }
+        Reader &r_;
+    };
+
     Sx *
     readForm()
     {
@@ -84,12 +97,14 @@ class Reader
             err("unexpected end of input");
         char c = peek();
         if (c == '(') {
+            Nest nest(*this);
             next();
             return readList();
         }
         if (c == ')')
             err("unexpected ')'");
         if (c == '\'') {
+            Nest nest(*this);
             next();
             Sx *form = readForm();
             return arena_.cons(arena_.sym("quote"),
@@ -188,6 +203,7 @@ class Reader
     const std::string &text_;
     size_t pos_ = 0;
     int line_ = 1;
+    int depth_ = 0; ///< lists and quotes open (see Nest)
 };
 
 } // namespace

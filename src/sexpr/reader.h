@@ -17,7 +17,16 @@
 
 namespace mxl {
 
-/** Parse every top-level form in @p text. Throws fatal() on errors. */
+/**
+ * Deepest list/quote nesting the reader accepts. The reader recurses
+ * once per level, so a bound keeps hostile input (say, 100k open
+ * parens) a fatal() instead of a stack overflow; the benchmark
+ * programs nest at most 15 deep.
+ */
+inline constexpr int kMaxReadDepth = 1000;
+
+/** Parse every top-level form in @p text. Throws fatal() on errors,
+ *  including nesting deeper than kMaxReadDepth. */
 std::vector<Sx *> readAll(SxArena &arena, const std::string &text);
 
 /** Parse exactly one form; fatal if none or trailing garbage. */

@@ -6,9 +6,10 @@
  * error code, exit value, fault index, and GC cells. On top of the
  * differential matrix this suite pins the trap paths (the software
  * Addt/Subt overflow fallback, handled and unhandled), cycle-limit
- * stops, the Engine's two-tier Auto policy (backend stamping, the
- * fallback counter, pause/resume equivalence across the tier drop),
- * and the translator's refusal diagnostics.
+ * stops, the run-time seams (pause into a snapshot and resume from
+ * one, the per-PC profile) against the interpreter's, the Engine's
+ * two-tier Auto policy (backend stamping, the fallback counters), and
+ * the translator's refusal diagnostics.
  */
 
 #include <cstring>
@@ -20,6 +21,7 @@
 #include "core/experiment.h"
 #include "core/run.h"
 #include "exec/texec.h"
+#include "faults/fault_injector.h"
 #include "machine/snapshot.h"
 #include "programs/programs.h"
 #include "support/panic.h"
@@ -95,6 +97,26 @@ differential(const CompiledUnit &unit, uint64_t maxCycles)
     return sameResult(a, b);
 }
 
+/** Baselines plus every Table 2 row, at both checking levels. */
+std::vector<CompilerOptions>
+ladderConfigs()
+{
+    std::vector<CompilerOptions> configs;
+    configs.push_back(baselineOptions(Checking::Off));
+    configs.push_back(baselineOptions(Checking::Full));
+    for (const auto &cfg : table2Configs()) {
+        configs.push_back(cfg.withChecking(Checking::Off));
+        configs.push_back(cfg.withChecking(Checking::Full));
+    }
+    return configs;
+}
+
+/** A machineSetup hook that does nothing: the interpreter-only seam. */
+void
+noSetup(Machine &, const CompiledUnit &)
+{
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -110,13 +132,7 @@ class BackendDifferential : public ::testing::TestWithParam<int>
 TEST_P(BackendDifferential, ByteIdenticalAcrossConfigs)
 {
     const auto &bp = benchmarkPrograms()[size_t(GetParam())];
-    std::vector<CompilerOptions> configs;
-    configs.push_back(baselineOptions(Checking::Off));
-    configs.push_back(baselineOptions(Checking::Full));
-    for (const auto &cfg : table2Configs()) {
-        configs.push_back(cfg.withChecking(Checking::Off));
-        configs.push_back(cfg.withChecking(Checking::Full));
-    }
+    const std::vector<CompilerOptions> configs = ladderConfigs();
     ASSERT_GE(configs.size(), 16u);
     for (size_t i = 0; i < configs.size(); ++i) {
         CompilerOptions opts = configs[i];
@@ -132,6 +148,183 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<int> &info) {
         return benchmarkPrograms()[size_t(info.param)].name;
     });
+
+// ---------------------------------------------------------------------
+// The per-PC profile: the translated executor's per-index counters,
+// folded, must equal the interpreter's attachProfile histograms array
+// for array, for every program x configuration the translator accepts.
+// ---------------------------------------------------------------------
+
+class BackendProfile : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(BackendProfile, ByteIdenticalAcrossConfigs)
+{
+    const auto &bp = benchmarkPrograms()[size_t(GetParam())];
+    int compared = 0;
+    for (CompilerOptions opts : ladderConfigs()) {
+        opts.heapBytes = bp.heapBytes;
+        CompiledUnit unit = compileUnit(bp.source, opts);
+        auto tr = translateUnit(unit);
+        if (!tr.unit)
+            continue;
+        RunControls rc;
+        rc.maxCycles = bp.maxCycles;
+        rc.collectProfile = true;
+        RunResult a = runUnitOn(unit, unit.memory, rc);
+        TranslatedControls tc;
+        tc.maxCycles = bp.maxCycles;
+        tc.collectProfile = true;
+        RunResult b = runTranslated(unit, *tr.unit, unit.memory, tc);
+        SCOPED_TRACE(bp.name + " config #" + std::to_string(compared));
+        EXPECT_TRUE(sameResult(a, b));
+        ASSERT_TRUE(a.profile && b.profile);
+        EXPECT_TRUE(a.profile->execCount == b.profile->execCount);
+        EXPECT_TRUE(a.profile->cycles == b.profile->cycles);
+        EXPECT_EQ(b.profile->totalCycles(), b.stats.total);
+        ++compared;
+    }
+    EXPECT_GE(compared, 16);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPrograms, BackendProfile, ::testing::Range(0, 10),
+    [](const ::testing::TestParamInfo<int> &info) {
+        return benchmarkPrograms()[size_t(info.param)].name;
+    });
+
+// ---------------------------------------------------------------------
+// Pause and resume: at seeded pause points of every program under every
+// configuration, the translated executor pauses into the snapshot the
+// interpreter takes (pipeline state, stats, output and image included),
+// and a run resumed from it — on either executor — ends exactly like
+// the unpaused run.
+// ---------------------------------------------------------------------
+
+class BackendPause : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(BackendPause, SeededPausePointsMatchInterpreter)
+{
+    const auto &bp = benchmarkPrograms()[size_t(GetParam())];
+    FaultRng rng(0x50415553u + uint64_t(GetParam())); // "PAUS"
+    int compared = 0;
+    for (CompilerOptions opts : ladderConfigs()) {
+        opts.heapBytes = bp.heapBytes;
+        CompiledUnit unit = compileUnit(bp.source, opts);
+        auto tr = translateUnit(unit);
+        if (!tr.unit)
+            continue;
+        TranslatedControls plain;
+        plain.maxCycles = bp.maxCycles;
+        const RunResult whole =
+            runTranslated(unit, *tr.unit, unit.memory, plain);
+        ASSERT_GT(whole.stats.total, 2u);
+        const uint64_t pause = 1 + rng.below(whole.stats.total - 1);
+        SCOPED_TRACE(bp.name + " config #" + std::to_string(compared) +
+                     " pause " + std::to_string(pause));
+
+        MachineSnapshot interpSnap;
+        RunControls rc;
+        rc.maxCycles = bp.maxCycles;
+        rc.pauseAtCycle = pause;
+        rc.snapshotHook = [&](MachineSnapshot &s, const CompiledUnit &) {
+            interpSnap = s;
+        };
+        const RunResult a = runUnitOn(unit, unit.memory, rc);
+
+        // Compared in place: the translated image is one dense mapping.
+        bool same = false;
+        TranslatedControls tc = plain;
+        tc.pauseAtCycle = pause;
+        tc.snapshotHook = [&](MachineSnapshot &s, const CompiledUnit &) {
+            same = s == interpSnap;
+        };
+        const RunResult b = runTranslated(unit, *tr.unit, unit.memory, tc);
+        ASSERT_TRUE(a.snapshotTaken);
+        ASSERT_TRUE(b.snapshotTaken);
+        EXPECT_TRUE(same) << "snapshots differ at pc " << interpSnap.pc;
+        EXPECT_TRUE(sameResult(a, b));
+        EXPECT_TRUE(sameResult(whole, b));
+
+        // The interpreter's snapshot resumes on the translated tier.
+        EXPECT_TRUE(sameResult(
+            whole, resumeTranslated(unit, *tr.unit, interpSnap, plain)));
+        ++compared;
+    }
+    EXPECT_GE(compared, 16);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPrograms, BackendPause, ::testing::Range(0, 10),
+    [](const ::testing::TestParamInfo<int> &info) {
+        return benchmarkPrograms()[size_t(info.param)].name;
+    });
+
+TEST(Backend, MutatingHookGivesIdenticalResultsOnBothTiers)
+{
+    // The heap-zeroing hook of Snapshot.EngineHookMutationPerturbsTheRun
+    // perturbs the run; both tiers must perturb it the same way.
+    const char *src =
+        "(de build (n) (if (lessp n 1) nil (cons n (build (sub1 n)))))"
+        "(print (length (build 80)))";
+    Engine eng(1);
+    RunRequest req = request(src, Checking::Full);
+    RunReport base = eng.run(req);
+    ASSERT_TRUE(base.ok());
+    req.hooks.pauseAtCycle = base.result.stats.total / 2;
+    req.hooks.snapshotHook = [](MachineSnapshot &snap,
+                                const CompiledUnit &unit) {
+        uint32_t lo =
+            snap.memory.word(unit.layout.cellAddr(Cell::FromLo) / 4) / 4;
+        uint32_t hi = snap.regs[mxl::abi::hp] / 4;
+        for (uint32_t i = lo; i < hi && i < snap.memory.size() / 4; ++i)
+            snap.memory.word(i) = 0;
+    };
+    req.exec.backend = Backend::Interpreter;
+    RunReport i = eng.run(req);
+    req.exec.backend = Backend::Translated;
+    RunReport t = eng.run(req);
+    EXPECT_EQ(t.backend, Backend::Translated);
+    EXPECT_EQ(i.status.code, t.status.code);
+    EXPECT_TRUE(i.result.snapshotTaken);
+    EXPECT_TRUE(t.result.snapshotTaken);
+    EXPECT_TRUE(sameResult(i.result, t.result));
+    EXPECT_FALSE(sameResult(base.result, t.result));
+}
+
+TEST(Backend, UnhonorableSnapshotIsAnInternalError)
+{
+    // A hook that leaves the snapshot in a state the translated
+    // executor cannot continue (memory-tag locks it has no hardware
+    // for) gets a structured InternalError, never a silent divergence.
+    Engine eng(1);
+    RunRequest req = request(kLoop, Checking::Full);
+    req.exec.backend = Backend::Translated;
+    req.hooks.pauseAtCycle = 500;
+    req.hooks.snapshotHook = [](MachineSnapshot &snap,
+                                const CompiledUnit &) {
+        snap.memTagLocks = ZeroPages(snap.memory.size() / 4);
+    };
+    RunReport rep = eng.run(req);
+    EXPECT_EQ(rep.status.code, RunStatus::Code::InternalError);
+    EXPECT_NE(rep.status.message.find("memory-tag locks"),
+              std::string::npos)
+        << rep.status.message;
+
+    // A wild pc is a panic, not a wild dispatch.
+    req.hooks.snapshotHook = [](MachineSnapshot &snap,
+                                const CompiledUnit &) {
+        snap.pc = 1 << 30;
+        snap.slotsRemaining = 0;
+    };
+    rep = eng.run(req);
+    EXPECT_EQ(rep.status.code, RunStatus::Code::InternalError);
+    EXPECT_NE(rep.status.message.find("pc out of range"), std::string::npos)
+        << rep.status.message;
+}
 
 TEST(Backend, BenchmarkSuiteHasTenPrograms)
 {
@@ -232,16 +425,22 @@ TEST(Backend, AutoFallbackStampsAndCounts)
     Counter &fallbacks = eng.metrics().counter("engine.backend.fallbacks");
     uint64_t before = fallbacks.value();
 
+    Counter &bySetup =
+        eng.metrics().counter("engine.backend.fallback.machine_setup");
+
     RunRequest req = request(kLoop, Checking::Full);
-    req.hooks.collectProfile = true; // interpreter-only seam
+    bool setUp = false; // interpreter-only seam
+    req.hooks.machineSetup = [&](Machine &, const CompiledUnit &) {
+        setUp = true;
+    };
     RunReport rep = eng.run(req);
     ASSERT_TRUE(rep.ok()) << rep.status.message;
     EXPECT_EQ(rep.backend, Backend::Interpreter);
     EXPECT_TRUE(rep.backendFellBack);
     EXPECT_FALSE(rep.backendNote.empty());
     EXPECT_EQ(fallbacks.value(), before + 1);
-    ASSERT_TRUE(rep.result.profile); // the hook was honored
-    EXPECT_EQ(rep.result.profile->totalCycles(), rep.result.stats.total);
+    EXPECT_EQ(bySetup.value(), 1u);
+    EXPECT_TRUE(setUp); // the hook was honored
 }
 
 TEST(Backend, ExplicitTranslatedRefusesInterpreterSeams)
@@ -249,7 +448,7 @@ TEST(Backend, ExplicitTranslatedRefusesInterpreterSeams)
     Engine eng(1);
     RunRequest req = request(kLoop, Checking::Off);
     req.exec.backend = Backend::Translated;
-    req.hooks.collectProfile = true;
+    req.hooks.machineSetup = noSetup;
     RunReport rep = eng.run(req);
     EXPECT_FALSE(rep.ok());
     EXPECT_EQ(rep.status.code, RunStatus::Code::InternalError);
@@ -258,12 +457,12 @@ TEST(Backend, ExplicitTranslatedRefusesInterpreterSeams)
         << rep.status.message;
 }
 
-TEST(Backend, FallbackPreservesPauseResumeSemantics)
+TEST(Backend, TranslatedPauseResumeMatchesUnpausedAndInterpreter)
 {
-    // A pause/snapshot request drops the cell to the interpreter tier;
-    // the resulting run must still be byte-identical to the translated
-    // run of the same cell — the tier fallback composes with PR-5's
-    // pause-is-invisible invariant.
+    // A pause/snapshot request runs on the translated tier, and the
+    // paused run is byte-identical both to the unpaused run of the same
+    // cell and to the interpreter's pause of it: the pause is invisible
+    // on both executors.
     Engine eng(1);
     RunRequest plain = request(kLoop, Checking::Full);
     RunReport t = eng.run(plain);
@@ -272,16 +471,45 @@ TEST(Backend, FallbackPreservesPauseResumeSemantics)
 
     RunRequest paused = plain;
     paused.hooks.pauseAtCycle = 2000;
-    bool hooked = false;
+    int hooked = 0;
     paused.hooks.snapshotHook = [&](MachineSnapshot &,
-                                    const CompiledUnit &) { hooked = true; };
+                                    const CompiledUnit &) { ++hooked; };
     RunReport p = eng.run(paused);
     ASSERT_TRUE(p.ok()) << p.status.message;
-    EXPECT_EQ(p.backend, Backend::Interpreter);
-    EXPECT_TRUE(p.backendFellBack);
-    EXPECT_TRUE(hooked);
+    EXPECT_EQ(p.backend, Backend::Translated);
+    EXPECT_FALSE(p.backendFellBack);
+    EXPECT_EQ(hooked, 1);
     EXPECT_TRUE(p.result.snapshotTaken);
     EXPECT_TRUE(sameResult(t.result, p.result));
+
+    paused.exec.backend = Backend::Interpreter;
+    RunReport i = eng.run(paused);
+    ASSERT_TRUE(i.ok()) << i.status.message;
+    EXPECT_EQ(hooked, 2);
+    EXPECT_TRUE(i.result.snapshotTaken);
+    EXPECT_TRUE(sameResult(i.result, p.result));
+    EXPECT_EQ(eng.metrics().counter("engine.backend.fallbacks").value(),
+              0u);
+}
+
+TEST(Backend, ProfileRequestsRunTranslated)
+{
+    Engine eng(1);
+    RunRequest req = request(kLoop, Checking::Full);
+    req.hooks.collectProfile = true;
+    RunReport t = eng.run(req);
+    ASSERT_TRUE(t.ok()) << t.status.message;
+    EXPECT_EQ(t.backend, Backend::Translated);
+    ASSERT_TRUE(t.result.profile);
+    EXPECT_EQ(t.result.profile->totalCycles(), t.result.stats.total);
+    EXPECT_EQ(t.result.profile->totalExecuted(),
+              t.result.stats.instructions);
+
+    req.exec.backend = Backend::Interpreter;
+    RunReport i = eng.run(req);
+    ASSERT_TRUE(i.result.profile);
+    EXPECT_TRUE(i.result.profile->execCount == t.result.profile->execCount);
+    EXPECT_TRUE(i.result.profile->cycles == t.result.profile->cycles);
 }
 
 TEST(Backend, CacheKeysAreTieredByBackend)
@@ -301,7 +529,7 @@ TEST(Backend, GridMixesBackendsDeterministically)
     Engine eng(2);
     std::vector<RunRequest> reqs(3, request(kLoop, Checking::Full));
     reqs[1].exec.backend = Backend::Interpreter;
-    reqs[2].hooks.collectProfile = true;
+    reqs[2].hooks.machineSetup = noSetup;
     auto reps = eng.runGrid(reqs);
     ASSERT_EQ(reps.size(), 3u);
     for (const auto &r : reps)

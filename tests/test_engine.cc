@@ -180,6 +180,41 @@ TEST(Engine, CompileErrorsAreReportedNotThrown)
     EXPECT_EQ(again.status.message, rep.status.message);
 }
 
+TEST(Engine, DeepNestingIsACompileErrorNotACrash)
+{
+    // Both once overflowed the host stack: source nested 20000 deep
+    // (the reader's bound) and a flat (list ...) whose expansion nests
+    // one cons per element (codegen's bound).
+    auto nested = [](int depth) {
+        std::string s = "(print ";
+        for (int i = 0; i < depth; ++i)
+            s += "(+ 1 ";
+        return s + "0" + std::string(size_t(depth) + 1, ')');
+    };
+    std::string flat = "(print (length (list";
+    for (int i = 0; i < 5000; ++i)
+        flat += " 1";
+    flat += ")))";
+
+    Engine eng(1);
+    for (const std::string &src : {nested(20000), flat}) {
+        RunRequest req;
+        req.source = src;
+        RunReport rep = eng.run(req);
+        EXPECT_EQ(rep.status.code, RunStatus::Code::CompileError);
+        EXPECT_NE(rep.status.message.find("nested deeper"),
+                  std::string::npos)
+            << rep.status.message;
+    }
+
+    // Deep but within the bounds still compiles and runs.
+    RunRequest ok;
+    ok.source = nested(900);
+    RunReport rep = eng.run(ok);
+    ASSERT_TRUE(rep.ok()) << rep.status.message;
+    EXPECT_EQ(rep.result.output, "900\n");
+}
+
 TEST(Engine, GridSurvivesMixedGoodAndBadCells)
 {
     Engine eng(2);

@@ -1140,8 +1140,9 @@ TEST(Campaign, AutoTierMatchesInterpreterTier)
     // interpreter-only run — tier selection is a performance decision,
     // never a semantic one.
     Campaign c = smallCampaign();
-    c.classes = {FaultClass::TagCorrupt, FaultClass::BitFlip,
-                 FaultClass::StackTagCorrupt};
+    c.classes = {FaultClass::TagCorrupt,      FaultClass::BitFlip,
+                 FaultClass::HeapTagCorrupt,  FaultClass::HeapBitFlip,
+                 FaultClass::StackTagCorrupt, FaultClass::StackBitFlip};
     c.trials = 4;
 
     Campaign interp = c;
@@ -1168,9 +1169,14 @@ TEST(Campaign, AutoTierMatchesInterpreterTier)
         EXPECT_EQ(ri.trials[i].cycles, ra.trials[i].cycles) << i;
         EXPECT_EQ(ri.trials[i].backend, Backend::Interpreter);
         translated += ra.trials[i].backend == Backend::Translated;
+        // The heap/stack classes pause into a snapshot, which the
+        // translated tier honors; neither config here has memtag.
+        if (faultClassNeedsPause(c.classes[size_t(ra.trials[i].cls)]) &&
+            ra.trials[i].outcome != Outcome::Skipped) {
+            EXPECT_EQ(ra.trials[i].backend, Backend::Translated) << i;
+        }
     }
     EXPECT_EQ(ri.renderMatrix(), ra.renderMatrix());
-    // The differential has teeth only if Auto actually promoted some
-    // trials (image-mutator classes carry no interpreter-only hook).
+    // The differential has teeth only if Auto actually promoted trials.
     EXPECT_GT(translated, 0);
 }

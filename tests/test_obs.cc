@@ -431,6 +431,62 @@ TEST(Metrics, DeltaJsonCapturesOnlyGrowthAndAdvancesBaseline)
     EXPECT_EQ(other.snapshotJson(), before);
 }
 
+TEST(Metrics, FallbackReasonsAreCountedAndRelayed)
+{
+    // Each reason an Auto request drops to the interpreter has its own
+    // counter beside the unchanged total, and the split rides the same
+    // worker delta relay (and health export) as every engine counter.
+    const char *src = "(de f (n) (if (lessp n 1) 0 (+ n (f (sub1 n)))))"
+                      "(print (f 30))";
+    Engine eng(1);
+    RunRequest plain;
+    plain.source = src;
+    plain.opts = baselineOptions(Checking::Full);
+
+    RunRequest setup = plain;
+    setup.hooks.machineSetup = [](Machine &, const CompiledUnit &) {};
+    RunRequest transform = plain;
+    transform.hooks.unitTransform =
+        [](std::shared_ptr<const CompiledUnit> u) { return u; };
+    RunRequest refused = plain;
+    refused.opts.scheme = SchemeKind::Low2;
+    refused.opts.checking = Checking::Off;
+    refused.opts.hw.memTagging = true; // the translator declines
+    RunRequest profiled = plain; // no longer a fallback
+    profiled.hooks.collectProfile = true;
+
+    Json baseline;
+    eng.metrics().deltaJson(&baseline);
+    for (const RunRequest *r : {&plain, &setup, &transform, &refused,
+                                &profiled}) {
+        RunReport rep = eng.run(*r);
+        ASSERT_TRUE(rep.ok()) << rep.status.message;
+    }
+    auto value = [&](const char *name) {
+        return eng.metrics().counter(name).value();
+    };
+    EXPECT_EQ(value("engine.backend.fallbacks"), 3u);
+    EXPECT_EQ(value("engine.backend.fallback.machine_setup"), 1u);
+    EXPECT_EQ(value("engine.backend.fallback.unit_transform"), 1u);
+    EXPECT_EQ(value("engine.backend.fallback.translation_refused"), 1u);
+
+    MetricsRegistry parent;
+    parent.merge(eng.metrics().deltaJson(&baseline));
+    EXPECT_EQ(parent.counter("engine.backend.fallbacks").value(), 3u);
+    EXPECT_EQ(
+        parent.counter("engine.backend.fallback.machine_setup").value(),
+        1u);
+    EXPECT_EQ(
+        parent.counter("engine.backend.fallback.unit_transform").value(),
+        1u);
+    EXPECT_EQ(parent.counter("engine.backend.fallback.translation_refused")
+                  .value(),
+              1u);
+    EXPECT_NE(parent.snapshotJson().find(
+                  "engine.backend.fallback.translation_refused"),
+              std::string::npos);
+}
+
 TEST(Metrics, MergeIsOrderIndependentAcrossWorkerDeltas)
 {
     // Two "workers" produce deltas; the parent may receive them in

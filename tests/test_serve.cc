@@ -562,6 +562,46 @@ TEST_F(ServeTest, BadCellRejectsWholeRequestWithTerminalError)
     EXPECT_EQ(got, 0u); // all-or-nothing: the good cell never ran
 }
 
+TEST_F(ServeTest, TooDeepCellIsAStructuredErrorAndTheServerStaysUp)
+{
+    // A cell nested far past the front end's bound once overflowed the
+    // worker's stack; it must come back as that cell's CompileError
+    // while the worker, and the server, keep serving.
+    ServerOptions options;
+    options.workers = 1;
+    startServer(options);
+    ServeClient client = connect();
+
+    std::string deep = "(print ";
+    for (int i = 0; i < 20000; ++i)
+        deep += "(+ 1 ";
+    deep += "0";
+    deep += std::string(20001, ')');
+    Json report;
+    ServeClient::GridOutcome outcome =
+        client.runGrid("deep", {sourceCell("deep", deep)}, 0,
+                       [&](size_t, const Json &r) { report = r; });
+    ASSERT_EQ(outcome.kind, ServeClient::GridOutcome::Kind::Done);
+    EXPECT_EQ(outcome.failed, 1u);
+    const Json *code = report.find("statusCode");
+    ASSERT_NE(code, nullptr);
+    EXPECT_EQ(code->asInt(-1),
+              static_cast<int64_t>(RunStatus::Code::CompileError));
+    const Json *message = report.find("statusMessage");
+    ASSERT_NE(message, nullptr);
+    EXPECT_NE(message->str().find("nested deeper"), std::string::npos);
+    EXPECT_EQ(report.find("workerDeath"), nullptr);
+
+    ServeClient::GridOutcome after = client.runGrid(
+        "after-deep", {sourceCell("ok", "(print 5)")}, 0, nullptr);
+    EXPECT_EQ(after.kind, ServeClient::GridOutcome::Kind::Done);
+    EXPECT_EQ(after.failed, 0u);
+    Json health;
+    std::string err;
+    ASSERT_TRUE(client.health(&health, &err)) << err;
+    EXPECT_EQ(health.find("workerDeaths")->asUint(1), 0u);
+}
+
 TEST_F(ServeTest, HealthReportsMetricsSnapshot)
 {
     ServerOptions options;

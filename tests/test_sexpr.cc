@@ -19,6 +19,27 @@ class SexprTest : public ::testing::Test
     std::string rt(const std::string &s) { return printSx(read(s)); }
 };
 
+TEST_F(SexprTest, NestingIsBoundedNotAStackOverflow)
+{
+    // 100k open parens used to recurse the reader off the host stack.
+    EXPECT_THROW(readAll(arena, std::string(100000, '(')), MxlError);
+    try {
+        readAll(arena, std::string(kMaxReadDepth + 1, '(') +
+                           std::string(kMaxReadDepth + 1, ')'));
+        ADD_FAILURE() << "nesting past the bound was accepted";
+    } catch (const MxlError &e) {
+        EXPECT_EQ(e.kind, MxlError::Kind::Fatal);
+        EXPECT_NE(std::string(e.what()).find("nested deeper"),
+                  std::string::npos);
+    }
+    // Quotes nest too; the bound itself is accepted.
+    EXPECT_THROW(readAll(arena, std::string(100000, '\'') + "x"), MxlError);
+    EXPECT_EQ(readAll(arena, std::string(kMaxReadDepth, '(') +
+                                 std::string(kMaxReadDepth, ')'))
+                  .size(),
+              1u);
+}
+
 TEST_F(SexprTest, Integers)
 {
     EXPECT_EQ(read("42")->ival, 42);

@@ -12,7 +12,10 @@
  *  - property-style, at seeded pause fractions of all ten benchmark
  *    programs under two configurations (unchecked High5 and the full
  *    checked-memory hardware ladder rung);
- *  - through the Engine seam (RunRequest::pauseAtCycle/snapshotHook).
+ *  - through the Engine seam (RunRequest::pauseAtCycle/snapshotHook);
+ *  - across executors: the translated backend pauses into the same
+ *    MXSNAP02 bytes at every pause point, and each executor resumes
+ *    the other's snapshot.
  *
  * Plus the serialization contract: deterministic bytes, lossless
  * round-trip, and rejection of malformed input.
@@ -24,6 +27,7 @@
 #include "core/engine.h"
 #include "core/experiment.h"
 #include "core/run.h"
+#include "exec/texec.h"
 #include "isa/assembler.h"
 #include "machine/snapshot.h"
 #include "programs/programs.h"
@@ -163,6 +167,97 @@ TEST(Snapshot, EveryPausePointOfBranchyProgramIsInvisible)
         ASSERT_EQ(resumed.output(), whole.output()) << pause;
         ASSERT_EQ(resumed.exitValue(), whole.exitValue()) << pause;
     }
+}
+
+TEST(Snapshot, TranslatedPausesIntoTheInterpretersBytesAtEveryPoint)
+{
+    // The branchy program again, as a unit both executors run: at every
+    // pause point — mid delay slot, mid squash, between the halves of a
+    // fused st/ld pair — the translated executor's snapshot serializes
+    // to the interpreter's MXSNAP02 bytes, and each executor's snapshot
+    // resumes on the other to the unpaused end state.
+    CompiledUnit unit;
+    unit.prog = assemble(R"(
+        main:
+            li r2, 12
+            li r3, 0
+            li r4, 0x100
+        loop:
+            st r3, 0(r4)
+            ld r5, 0(r4)
+            add r3, r5, r2
+            addi r2, r2, -1
+            bne r2, r0, loop
+            addi r4, r4, 4
+            noop
+            beq r2, r3, never
+            ld r6, -4(r4)
+            add r3, r3, r6
+            bne.t r3, r0, over
+            addi r3, r3, 99
+            addi r3, r3, 1000
+        over:
+            sys putfixraw, r3
+            sys halt, r3
+        never:
+            sys halt, r0
+    )");
+    unit.memory = Memory(1 << 16);
+    unit.scheme = makeScheme(unit.opts.scheme);
+    unit.entry = unit.prog.symbol("main");
+    auto tr = translateUnit(unit);
+    ASSERT_TRUE(tr.unit) << tr.note;
+
+    const RunResult whole = runUnitOn(unit, unit.memory, RunControls{});
+    ASSERT_EQ(whole.stop, StopReason::Halted);
+    int midSlot = 0, midSquash = 0, stalled = 0;
+    for (uint64_t pause = 1; pause < whole.stats.total; ++pause) {
+        SCOPED_TRACE("pause at " + std::to_string(pause));
+        std::string interpBytes, transBytes;
+        MachineSnapshot interpSnap, transSnap;
+        RunControls rc;
+        rc.pauseAtCycle = pause;
+        rc.snapshotHook = [&](MachineSnapshot &s, const CompiledUnit &) {
+            interpBytes = s.serialize();
+            interpSnap = s;
+        };
+        TranslatedControls tc;
+        tc.pauseAtCycle = pause;
+        tc.snapshotHook = [&](MachineSnapshot &s, const CompiledUnit &) {
+            transBytes = s.serialize();
+            transSnap = s;
+        };
+        const RunResult a = runUnitOn(unit, unit.memory, rc);
+        const RunResult b = runTranslated(unit, *tr.unit, unit.memory, tc);
+        ASSERT_EQ(a.snapshotTaken, b.snapshotTaken);
+        EXPECT_TRUE(a.stats == whole.stats && b.stats == whole.stats);
+        EXPECT_EQ(b.output, whole.output);
+        EXPECT_EQ(b.exitValue, whole.exitValue);
+        if (!a.snapshotTaken)
+            continue; // the halt slipped in before the pause
+        ASSERT_EQ(interpBytes, transBytes)
+            << "pc " << interpSnap.pc << " slots "
+            << interpSnap.slotsRemaining;
+        midSlot += interpSnap.slotsRemaining > 0 && !interpSnap.annulSlots;
+        midSquash += interpSnap.slotsRemaining > 0 && interpSnap.annulSlots;
+        stalled += interpSnap.pendingLoadReg >= 0;
+
+        // Cross-executor resume.
+        const RunResult t =
+            resumeTranslated(unit, *tr.unit, interpSnap, TranslatedControls{});
+        EXPECT_TRUE(t.stats == whole.stats);
+        EXPECT_EQ(t.output, whole.output);
+        EXPECT_EQ(t.stop, StopReason::Halted);
+        Machine m(unit.prog, Memory(1 << 16), HardwareConfig{}, nullptr);
+        m.restore(transSnap);
+        ASSERT_EQ(m.resume(kDefaultMaxCycles), StopReason::Halted);
+        EXPECT_TRUE(m.stats() == whole.stats);
+        EXPECT_EQ(m.output(), whole.output);
+    }
+    // The program reaches every pipeline state a pause can land in.
+    EXPECT_GT(midSlot, 0);
+    EXPECT_GT(midSquash, 0);
+    EXPECT_GT(stalled, 0);
 }
 
 // ---- property: seeded pause points across the whole suite -------------
