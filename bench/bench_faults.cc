@@ -251,8 +251,9 @@ main(int argc, char **argv)
                 static_cast<int>(campaign.programs.size()) *
                     campaign.trials);
 
-    // Which executor ran the trials: only machineSetup (call-arg-type)
-    // and the memtag hardware keep a trial on the interpreter.
+    // Which executor ran the trials: every class and config has a
+    // translated form, so under the default Auto tier all of them run
+    // translated (checked below).
     std::printf("trial tiers by class (translated / interpreter):\n");
     for (size_t k = 0; k < r.classCount; ++k) {
         int tiers[2] = {};
@@ -384,6 +385,24 @@ main(int argc, char **argv)
         check(memtagTraps > 0,
               strcat("memtag detections arrive as hardware traps (",
                      memtagTraps, ")"));
+    }
+
+    // Every golden and every trial ran on the translated executor: no
+    // fault class or hardware rung needs the interpreter any more.
+    if (campaign.backend == Backend::Auto) {
+        size_t ran = 0, translated = 0;
+        for (const RunReport &g : r.goldens) {
+            ++ran;
+            translated += g.backend == Backend::Translated;
+        }
+        for (const TrialRecord &rec : r.trials)
+            if (rec.outcome != Outcome::Skipped) {
+                ++ran;
+                translated += rec.backend == Backend::Translated;
+            }
+        check(translated == ran,
+              strcat("every golden and trial ran translated (", translated,
+                     "/", ran, ")"));
     }
 
     // Zero host crashes: every trial came back classified.

@@ -292,7 +292,9 @@ Engine::execute(const RunRequest &req)
                 // nothing.
                 std::function<void(MachineSnapshot &, const CompiledUnit &)>
                     hook;
-                if (req.hooks.pauseAtCycle > 0 && req.hooks.snapshotHook) {
+                if ((req.hooks.pauseAtCycle > 0 ||
+                     req.hooks.pauseAtCall >= 0) &&
+                    req.hooks.snapshotHook) {
                     hook = req.hooks.snapshotHook;
                     if (tr)
                         hook = [tr, tid, inner = std::move(hook),
@@ -311,6 +313,7 @@ Engine::execute(const RunRequest &req)
                     controls.installTrapHandlers =
                         req.exec.installTrapHandlers;
                     controls.pauseAtCycle = req.hooks.pauseAtCycle;
+                    controls.pauseAtCall = req.hooks.pauseAtCall;
                     controls.snapshotHook = std::move(hook);
                     controls.collectProfile = req.hooks.collectProfile;
                     rep.result = runTranslated(*unit, *c.trans,
@@ -323,6 +326,7 @@ Engine::execute(const RunRequest &req)
                         req.exec.installTrapHandlers;
                     controls.machineSetup = req.hooks.machineSetup;
                     controls.pauseAtCycle = req.hooks.pauseAtCycle;
+                    controls.pauseAtCall = req.hooks.pauseAtCall;
                     controls.snapshotHook = std::move(hook);
                     controls.collectProfile = req.hooks.collectProfile;
                     rep.result =

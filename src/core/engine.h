@@ -130,9 +130,10 @@ struct ExecPolicy
  * The instrumentation and mutation seams of a request. None of these
  * participate in the compiled-unit cache key — requests that differ
  * only in hooks share a compilation. Both backends honor imageMutator,
- * the pause/snapshot pair and collectProfile identically; only
- * machineSetup and unitTransform need the interpreter, so setting one
- * makes an `Auto` request fall back (see needsInterpreter()).
+ * both pause triggers with the snapshot hook, and collectProfile
+ * identically; only machineSetup and unitTransform need the
+ * interpreter, so setting one makes an `Auto` request fall back (see
+ * needsInterpreter()).
  */
 struct Hooks
 {
@@ -145,8 +146,9 @@ struct Hooks
      */
     std::function<void(Memory &, const CompiledUnit &)> imageMutator;
 
-    /** Forwarded to RunControls::machineSetup (register/hook faults).
-     *  Interpreter-only: the hook touches a live Machine. */
+    /** Forwarded to RunControls::machineSetup. Interpreter-only: the
+     *  hook touches a live Machine. The fault classes no longer use it
+     *  (pauseAtCall replaced it); it remains as a general seam. */
     std::function<void(Machine &, const CompiledUnit &)> machineSetup;
 
     /**
@@ -165,6 +167,16 @@ struct Hooks
     /** Forwarded to RunControls::snapshotHook. */
     std::function<void(MachineSnapshot &, const CompiledUnit &)>
         snapshotHook;
+
+    /**
+     * The second pause trigger: pause just before the issue of the
+     * Jal/Jalr with this 0-based index among the calls the run issues
+     * (-1 = never), into the same snapshot and hook. This is the
+     * call-argument fault seam (src/faults/): the hook rewrites an
+     * argument register the call is about to receive. Supported by
+     * both backends. See RunControls::pauseAtCall.
+     */
+    int64_t pauseAtCall = -1;
 
     /**
      * Collect the per-PC instruction profile for this cell
@@ -365,7 +377,7 @@ class Engine
      * image's materialization) and a "run" span on its worker's track —
      * the run span's category names the backend that executed it
      * ("engine/interpreter" or "engine/translated") — plus a
-     * "snapshot" instant at a pauseAtCycle pause. The recorder must
+     * "snapshot" instant at a pause (either trigger). The recorder must
      * outlive all runs made while attached; the pointer itself is read
      * atomically, so attaching around a runGrid() call from the calling
      * thread is safe.

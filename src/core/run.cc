@@ -63,7 +63,8 @@ runUnitOn(const CompiledUnit &unit, Memory image,
                               : target;
         r.stop = started ? m.resume(budget) : m.run(unit.entry, budget);
         started = true;
-        while (r.stop == StopReason::CycleLimit && budget < target) {
+        while (r.stop == StopReason::CycleLimit && budget < target &&
+               !m.pausedAtCall()) {
             if (expired()) {
                 r.timedOut = true;
                 return;
@@ -73,11 +74,18 @@ runUnitOn(const CompiledUnit &unit, Memory image,
         }
     };
 
-    if (controls.snapshotHook && controls.pauseAtCycle > 0 &&
-        controls.pauseAtCycle < controls.maxCycles) {
-        runTo(controls.pauseAtCycle);
-        if (r.stop == StopReason::CycleLimit && !r.timedOut) {
-            // Paused at the requested cycle: expose the live state.
+    const bool cyclePause = controls.pauseAtCycle > 0 &&
+                            controls.pauseAtCycle < controls.maxCycles;
+    const bool callPause = controls.pauseAtCall >= 0;
+    if (controls.snapshotHook && (cyclePause || callPause)) {
+        m.pauseBeforeCall(controls.pauseAtCall);
+        runTo(cyclePause ? controls.pauseAtCycle : controls.maxCycles);
+        // With a cycle pause armed, this CycleLimit stop is a pause
+        // (either trigger); without one, only the call pause is.
+        if (r.stop == StopReason::CycleLimit && !r.timedOut &&
+            (cyclePause || m.pausedAtCall())) {
+            // Paused at the requested point: expose the live state.
+            m.pauseBeforeCall(-1);
             MachineSnapshot snap = m.snapshot();
             controls.snapshotHook(snap, unit);
             // The hook may perturb state, but the run stays paused.

@@ -108,9 +108,20 @@ struct RunControls
      */
     uint64_t pauseAtCycle = 0;
 
-    /** Invoked once at the pauseAtCycle pause; may mutate the snapshot. */
+    /** Invoked once at the pause; may mutate the snapshot. */
     std::function<void(MachineSnapshot &, const CompiledUnit &)>
         snapshotHook;
+
+    /**
+     * Pause just before the issue of the Jal/Jalr with this 0-based
+     * index among the calls the run issues (-1 = never), with the same
+     * snapshot/hook/restore/resume as pauseAtCycle — the seam of the
+     * call-argument fault (src/faults/): the hook sees the argument
+     * registers as the call receives them. A run that issues fewer
+     * calls never invokes the hook. When both triggers are armed, the
+     * first to fire pauses and the other is dropped.
+     */
+    int64_t pauseAtCall = -1;
 
     /**
      * Collect the per-PC instruction profile (RunResult::profile). This

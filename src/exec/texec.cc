@@ -17,13 +17,17 @@
  * rebuilt total against the live cycle counter on every run.
  *
  * Pause and resume live off the hot path. A paused run is two executor
- * calls ("legs"): an armed pause only lowers the first leg's cycle
- * guard limit, and when the guard fires for it the leg returns its
- * state, resume point (pc, delay slots left) included, as a
- * MachineSnapshot; the second leg starts from that snapshot through a
- * cold path that replays any remaining delay-slot steps one at a time,
- * as the interpreter's loop does. Each leg sees one fixed image
- * mapping, so the hot loop's memory base stays a constant.
+ * calls ("legs"): an armed cycle pause only lowers the first leg's
+ * cycle guard limit, and an armed call pause runs the first leg on a
+ * private copy of the ops whose Jal/Jalr handlers count calls first.
+ * When either fires, the leg returns its state, resume point (pc,
+ * delay slots left) included, as a MachineSnapshot; the second leg
+ * starts from that snapshot through a cold path that replays any
+ * remaining delay-slot steps one at a time, as the interpreter's loop
+ * does. Each leg sees one fixed image mapping, so the hot loop's
+ * memory base stays a constant. The executor writes the image through
+ * Memory::untrackedData(); a pause re-derives the dirty-page bitmap
+ * (Memory::markWritten) before the image leaves the leg.
  */
 
 #include "exec/texec.h"
@@ -133,11 +137,19 @@ struct Leg
 {
     /** Origin of the wall-clock deadline, shared by both legs. */
     std::chrono::steady_clock::time_point start;
-    /** Start from this paused state (its memory is already the image). */
+    /** Start from this paused state (its memory and locks are already
+     *  the image and lock table). */
     const MachineSnapshot *from = nullptr;
-    /** Pause into this snapshot once cycles pass pauseAtCycle; null for
-     *  a leg that must not pause. */
+    /** Pause into this snapshot when an armed trigger below fires; null
+     *  for a leg that must not pause. */
     MachineSnapshot *pauseInto = nullptr;
+    /** Pause once cycles pass this (0 = not armed). */
+    uint64_t pauseAtCycle = 0;
+    /** Pause before the issue of the call with this 0-based index; the
+     *  ops must then be a copy whose calls run the TC_ handlers. */
+    uint64_t pauseAtCall = 0;
+    /** The ops to run: the unit's, or an armed call pause's copy. */
+    const TranslatedOp *ops = nullptr;
     /** Add the per-index counters here (collectProfile). */
     PcProfile *prof = nullptr;
 };
@@ -157,8 +169,8 @@ struct Leg
  */
 RunResult
 coreRun(const CompiledUnit &unit, const TranslatedUnit &tu, Memory &image,
-        const TranslatedControls &controls, const Leg &leg,
-        const void *const **labelsOut)
+        ZeroPages &locks, const TranslatedControls &controls,
+        const Leg &leg, const void *const **labelsOut)
 {
     if (labelsOut) {
         // Order must match TKind (texec_internal.h).
@@ -169,6 +181,7 @@ coreRun(const CompiledUnit &unit, const TranslatedUnit &tu, Memory &image,
             &&L_Srai,
             &&L_Li, &&L_Mov, &&L_Noop,
             &&L_Ld, &&L_St, &&L_Ldt, &&L_Stt,
+            &&L_LdM, &&L_StM, &&L_LdtM, &&L_SttM,
             &&L_AddtHigh, &&L_SubtHigh, &&L_AddtLow, &&L_SubtLow,
             &&L_SysHalt, &&L_SysPutChar, &&L_SysPutFixRaw, &&L_SysPutFix,
             &&L_SysError,
@@ -180,21 +193,33 @@ coreRun(const CompiledUnit &unit, const TranslatedUnit &tu, Memory &image,
             &&L_F_Ld_Srli, &&L_F_Ld_Addi, &&L_F_Ld_And, &&L_F_Ld_Ld,
             &&L_F_Ld_Li, &&L_F_Mov_Ld, &&L_F_Slli_Srai, &&L_F_Addi_Ld,
             &&L_F_St_Li, &&L_F_Ld_Slli,
+            &&L_C_Jal, &&L_C_Jalr,
         };
         *labelsOut = table;
         return {};
     }
 
-    const TranslatedOp *const ops = tu.ops.data();
+    const TranslatedOp *const ops = leg.ops;
     const int n = static_cast<int>(tu.nInsts);
     MXL_ASSERT(tu.entry >= 0 && tu.entry < n, "bad entry point");
 
     // Machine state. Slot 32 is the write sink for rd == 0 (reads of
     // r0 always see the never-written regs[0] == 0).
     uint32_t regs[33] = {};
-    uint32_t *const mem = image.data();
+    uint32_t *const mem = image.untrackedData();
     const uint32_t nWords = image.size() / 4;
     int pending = -1; // load-interlock register, -1 none
+
+    // Memory-tagging locks (memTagging units only): each lock is stored
+    // XOR kMemTagUnpainted, as in Machine, read through bytes() and
+    // written through touch() so the table's dirty pages stay exact. A
+    // word past the table (a resumed snapshot may carry any size) is
+    // unchecked, like Machine::memTagAccess.
+    const uint8_t *const lockBytes = locks.bytes();
+    const uint32_t nLocks = static_cast<uint32_t>(locks.size());
+    constexpr uint8_t kUnpainted = Machine::kMemTagUnpainted;
+    const bool lowTags = tu.lowTags;
+    uint64_t callsBeforePause = leg.pauseAtCall; // TC_ handlers only
 
     // Per-index accounting, folded into CycleStats at the end.
     std::vector<uint64_t> counts(static_cast<size_t>(n) * 3, 0);
@@ -225,8 +250,8 @@ coreRun(const CompiledUnit &unit, const TranslatedUnit &tu, Memory &image,
     const uint64_t maxCycles = controls.maxCycles;
     const bool deadlined = controls.deadlineSeconds > 0;
     const auto start = leg.start;
-    const uint64_t pauseAt = controls.pauseAtCycle;
-    bool pauseArmed = leg.pauseInto != nullptr;
+    const uint64_t pauseAt = leg.pauseAtCycle;
+    bool pauseArmed = pauseAt > 0;
     auto nextLimit = [&]() -> uint64_t {
         const uint64_t lim =
             deadlined ? std::min(maxCycles, cycles + kDeadlineChunkCycles)
@@ -430,6 +455,25 @@ coreRun(const CompiledUnit &unit, const TranslatedUnit &tu, Memory &image,
             mem[a_ >> 2] = regs[s_->rt];                                    \
             break;                                                          \
           }                                                                 \
+          case TLdM: {                                                      \
+            const uint32_t b_ = regs[s_->rs];                               \
+            const uint32_t a_ = (b_ + s_->uimm) & memMask;                  \
+            if ((a_ >> 2) >= nWords)                                        \
+                STOP_ILLEGAL(s_, a_);                                       \
+            MEMTAG_LOAD(b_, a_, MEMTAG_SLOT_TRAP);                          \
+            regs[s_->wslot] = mem[a_ >> 2];                                 \
+            pending = s_->pendReg;                                          \
+            break;                                                          \
+          }                                                                 \
+          case TStM: {                                                      \
+            const uint32_t b_ = regs[s_->rs];                               \
+            const uint32_t a_ = (b_ + s_->uimm) & memMask;                  \
+            if ((a_ >> 2) >= nWords)                                        \
+                STOP_ILLEGAL(s_, a_);                                       \
+            MEMTAG_STORE(b_, a_);                                           \
+            mem[a_ >> 2] = regs[s_->rt];                                    \
+            break;                                                          \
+          }                                                                 \
           default:                                                          \
             panic("unexpected opcode in a delay slot");                     \
         }                                                                   \
@@ -461,6 +505,64 @@ coreRun(const CompiledUnit &unit, const TranslatedUnit &tu, Memory &image,
         if ((a_ >> 2) >= nWords)                                            \
             STOP_ILLEGAL(p, a_);                                            \
         mem[a_ >> 2] = regs[(p)->rt];                                       \
+    } while (0)
+
+    // Memory-tagging hardware: Machine::memTagAccess for an access to
+    // in-bounds word address a_ through base-register word b_. A fixnum
+    // base is raw: a raw store releases the lock, a raw load bypasses
+    // it. A keyed store repaints; a keyed load paints an unpainted word
+    // and calls MISMATCH(lock) when the word's lock is another key.
+#define IS_FIXNUM(w)                                                        \
+    (lowTags ? ((w) & 3u) == 0                                              \
+             : static_cast<uint32_t>(signExtend((w), dataBits)) == (w))
+#define MEMTAG_LOAD(b_, a_, MISMATCH)                                       \
+    do {                                                                    \
+        const uint32_t w_ = (a_) >> 2;                                      \
+        if (w_ < nLocks && !IS_FIXNUM(b_)) {                                \
+            const uint8_t key_ =                                            \
+                static_cast<uint8_t>(((b_) >> tagShift) & tagMask);         \
+            const uint8_t lock_ = lockBytes[w_] ^ kUnpainted;               \
+            if (lock_ == kUnpainted)                                        \
+                *locks.touch(w_) = key_ ^ kUnpainted;                       \
+            else if (lock_ != key_)                                         \
+                MISMATCH(b_, lock_);                                        \
+        }                                                                   \
+    } while (0)
+#define MEMTAG_STORE(b_, a_)                                                \
+    do {                                                                    \
+        const uint32_t w_ = (a_) >> 2;                                      \
+        if (w_ < nLocks) {                                                  \
+            if (!IS_FIXNUM(b_))                                             \
+                *locks.touch(w_) = static_cast<uint8_t>(                    \
+                    (((b_) >> tagShift) & tagMask) ^ kUnpainted);           \
+            else if (lockBytes[w_] != 0)                                    \
+                *locks.touch(w_) = 0;                                       \
+        }                                                                   \
+    } while (0)
+    // The memory-tag trap of the op at ip.
+#define MEMTAG_TRAP(b_, lock_)                                              \
+    do {                                                                    \
+        regs[abi::trapA] = (b_);                                            \
+        regs[abi::trapB] = (lock_);                                         \
+        TRAP(TrapKind::TagMismatch,                                         \
+             static_cast<int>(TrapKind::TagMismatch));                      \
+    } while (0)
+    // The memory-tag trap of a delay-slot op at s_: Machine's loop stops
+    // the run when no handler is installed and asserts otherwise (a
+    // handler would redirect from inside the group).
+#define MEMTAG_SLOT_TRAP(b_, lock_)                                         \
+    do {                                                                    \
+        regs[abi::trapA] = (b_);                                            \
+        regs[abi::trapB] = (lock_);                                         \
+        const int h_ =                                                      \
+            trapHandler[static_cast<int>(TrapKind::TagMismatch)];           \
+        if (h_ >= 0)                                                        \
+            contextPanic(unit.prog, h_, cycles, "trap in a delay slot");    \
+        errorCode = encodeUnhandledTrap(TrapKind::TagMismatch,              \
+                                        static_cast<int>(IDX(s_)));         \
+        faultIndex = static_cast<int>(IDX(s_));                             \
+        stop = StopReason::Errored;                                         \
+        goto done;                                                          \
     } while (0)
 
     // A fused pair: two instructions, one dispatch. Both sequence
@@ -638,6 +740,63 @@ L_Stt: {
         ((w & detagMask) + ip->uimm) & memMask;
     if ((a >> 2) >= nWords)
         STOP_ILLEGAL(ip, a);
+    mem[a >> 2] = regs[ip->rt];
+    NEXT(ip + 1);
+}
+
+    // Memory under memory-tagging hardware: bounds, then the lock/key
+    // check on the raw base register, then the access (Machine::execute).
+L_LdM: {
+    ISSUE(ip);
+    const uint32_t b = regs[ip->rs];
+    const uint32_t a = (b + ip->uimm) & memMask;
+    if ((a >> 2) >= nWords)
+        STOP_ILLEGAL(ip, a);
+    MEMTAG_LOAD(b, a, MEMTAG_TRAP);
+    regs[ip->wslot] = mem[a >> 2];
+    pending = ip->pendReg;
+    NEXT(ip + 1);
+}
+L_StM: {
+    ISSUE(ip);
+    const uint32_t b = regs[ip->rs];
+    const uint32_t a = (b + ip->uimm) & memMask;
+    if ((a >> 2) >= nWords)
+        STOP_ILLEGAL(ip, a);
+    MEMTAG_STORE(b, a);
+    mem[a >> 2] = regs[ip->rt];
+    NEXT(ip + 1);
+}
+L_LdtM: {
+    ISSUE(ip);
+    const uint32_t w = regs[ip->rs];
+    if (((w >> tagShift) & tagMask) != ip->timm) {
+        regs[abi::trapA] = w;
+        regs[abi::trapB] = ip->timm;
+        TRAP(TrapKind::TagMismatch,
+             static_cast<int>(TrapKind::TagMismatch));
+    }
+    const uint32_t a = ((w & detagMask) + ip->uimm) & memMask;
+    if ((a >> 2) >= nWords)
+        STOP_ILLEGAL(ip, a);
+    MEMTAG_LOAD(w, a, MEMTAG_TRAP);
+    regs[ip->wslot] = mem[a >> 2];
+    pending = ip->pendReg;
+    NEXT(ip + 1);
+}
+L_SttM: {
+    ISSUE(ip);
+    const uint32_t w = regs[ip->rs];
+    if (((w >> tagShift) & tagMask) != ip->timm) {
+        regs[abi::trapA] = w;
+        regs[abi::trapB] = ip->timm;
+        TRAP(TrapKind::TagMismatch,
+             static_cast<int>(TrapKind::TagMismatch));
+    }
+    const uint32_t a = ((w & detagMask) + ip->uimm) & memMask;
+    if ((a >> 2) >= nWords)
+        STOP_ILLEGAL(ip, a);
+    MEMTAG_STORE(w, a);
     mem[a >> 2] = regs[ip->rt];
     NEXT(ip + 1);
 }
@@ -841,6 +1000,18 @@ L_Jalr:
     br = ip;
     goto branch_common;
 
+    // An armed call pause: the calls before the paused one run the plain
+    // handlers; the paused one has not issued yet (Machine's run loop
+    // pauses before observeIssue).
+L_C_Jal:
+    if (callsBeforePause-- == 0)
+        goto exit_call;
+    goto L_Jal;
+L_C_Jalr:
+    if (callsBeforePause-- == 0)
+        goto exit_call;
+    goto L_Jalr;
+
 branch_common: {
     const int bidx = static_cast<int>(IDX(br));
     if (br->annul & (btaken ? 1 : 2)) {
@@ -930,17 +1101,23 @@ exit_slot1:
 exit_slot2:
     atPc = static_cast<int>(IDX(br)) + 2;
     atSlots = 1;
+    goto budget_exit;
+exit_call:
+    atPc = static_cast<int>(ip - ops);
+    atSlots = 0;
 budget_exit: {
     // A stop, or the snapshot pause: the state Machine::snapshot()
-    // captures at this guard. The image moves in (no copy), the
-    // counters fold into the stats, and the leg ends.
+    // captures at this guard. The image and locks move in (no copy),
+    // the counters fold into the stats, and the leg ends.
     if (stop != StopReason::Running)
         goto done;
     MachineSnapshot &s = *leg.pauseInto;
     std::copy(regs, regs + 32, s.regs);
     s.pc = atPc;
     std::copy(trapHandler, trapHandler + 3, s.trapHandler);
+    image.markWritten();
     s.memory = std::move(image);
+    s.memTagLocks = std::move(locks);
     s.pendingLoadReg = pending;
     s.slotsRemaining = atSlots;
     if (br) {
@@ -969,11 +1146,8 @@ budget_exit: {
 
 load_state: {
     // Adopt *leg.from wholesale, like Machine::restore() (the caller
-    // already made its memory the image).
+    // already made its memory and locks the image and lock table).
     const MachineSnapshot &s = *leg.from;
-    if (s.memTagLocks.size() != 0)
-        panic("the translated backend cannot honor a snapshot carrying "
-              "memory-tag locks");
     std::copy(s.regs, s.regs + 32, regs);
     // A handler past the code lands on the pc-out-of-range sentinel.
     for (int k = 0; k < 3; ++k)
@@ -1056,6 +1230,11 @@ done: {
 }
 
 #undef FUSED2
+#undef MEMTAG_SLOT_TRAP
+#undef MEMTAG_TRAP
+#undef MEMTAG_STORE
+#undef MEMTAG_LOAD
+#undef IS_FIXNUM
 #undef SEM_ST
 #undef SEM_LD
 #undef SEM_MOV
@@ -1088,8 +1267,10 @@ labelTable()
         CompiledUnit dummyUnit;
         TranslatedUnit dummyTu;
         Memory dummyMem(0);
+        ZeroPages dummyLocks;
         TranslatedControls dummyControls;
-        coreRun(dummyUnit, dummyTu, dummyMem, dummyControls, Leg{}, &t);
+        coreRun(dummyUnit, dummyTu, dummyMem, dummyLocks, dummyControls,
+                Leg{}, &t);
         return t;
     }();
     return table;
@@ -1104,18 +1285,21 @@ labelTable()
 namespace {
 
 /**
- * Run on @p image — from the entry point, or from @p from (whose memory
- * @p image already is) — with the pause seam: a run paused by its
- * first leg hands the snapshot to the hook and continues from it in a
- * second leg, the counterpart of runUnitOn()'s snapshot/restore/resume.
+ * Run on @p image and @p locks — from the entry point, or from @p from
+ * (whose memory and locks they already are) — with the pause seam: a
+ * run paused by its first leg hands the snapshot to the hook and
+ * continues from it in a second leg, the counterpart of runUnitOn()'s
+ * snapshot/restore/resume.
  */
 RunResult
 runLegs(const CompiledUnit &unit, const TranslatedUnit &tu, Memory &image,
-        const MachineSnapshot *from, const TranslatedControls &controls)
+        ZeroPages &locks, const MachineSnapshot *from,
+        const TranslatedControls &controls)
 {
     Leg leg;
     leg.start = std::chrono::steady_clock::now();
     leg.from = from;
+    leg.ops = tu.ops.data();
     std::shared_ptr<PcProfile> prof;
     if (controls.collectProfile) {
         prof = std::make_shared<PcProfile>();
@@ -1123,13 +1307,27 @@ runLegs(const CompiledUnit &unit, const TranslatedUnit &tu, Memory &image,
         leg.prof = prof.get();
     }
     std::unique_ptr<MachineSnapshot> paused;
-    if (controls.pauseAtCycle > 0 &&
-        controls.pauseAtCycle < controls.maxCycles &&
-        controls.snapshotHook) {
-        paused = std::make_unique<MachineSnapshot>();
-        leg.pauseInto = paused.get();
+    std::vector<TranslatedOp> callOps;
+    if (controls.snapshotHook) {
+        if (controls.pauseAtCycle > 0 &&
+            controls.pauseAtCycle < controls.maxCycles)
+            leg.pauseAtCycle = controls.pauseAtCycle;
+        if (controls.pauseAtCall >= 0) {
+            // The first leg's private ops: every call counts first.
+            const void *const *labels = labelTable();
+            callOps = tu.ops;
+            for (TranslatedOp &op : callOps)
+                if (op.kind == TJal || op.kind == TJalr)
+                    op.handler = labels[op.kind == TJal ? TC_Jal : TC_Jalr];
+            leg.ops = callOps.data();
+            leg.pauseAtCall = static_cast<uint64_t>(controls.pauseAtCall);
+        }
+        if (leg.pauseAtCycle > 0 || !callOps.empty()) {
+            paused = std::make_unique<MachineSnapshot>();
+            leg.pauseInto = paused.get();
+        }
     }
-    RunResult r = coreRun(unit, tu, image, controls, leg, nullptr);
+    RunResult r = coreRun(unit, tu, image, locks, controls, leg, nullptr);
     if (r.snapshotTaken) {
         const uint32_t bytes = paused->memory.size();
         controls.snapshotHook(*paused, unit);
@@ -1138,9 +1336,12 @@ runLegs(const CompiledUnit &unit, const TranslatedUnit &tu, Memory &image,
             panic("snapshot image size mismatch: ", paused->memory.size(),
                   " != ", bytes);
         image = std::move(paused->memory);
+        locks = std::move(paused->memTagLocks);
         leg.from = paused.get();
         leg.pauseInto = nullptr;
-        r = coreRun(unit, tu, image, controls, leg, nullptr);
+        leg.pauseAtCycle = 0;
+        leg.ops = tu.ops.data();
+        r = coreRun(unit, tu, image, locks, controls, leg, nullptr);
         r.snapshotTaken = true;
     }
     r.profile = std::move(prof);
@@ -1159,7 +1360,10 @@ RunResult
 runTranslated(const CompiledUnit &unit, const TranslatedUnit &tu,
               Memory image, const TranslatedControls &controls)
 {
-    return runLegs(unit, tu, image, nullptr, controls);
+    // Machine's constructor: one unpainted lock per word under memory
+    // tagging, none otherwise.
+    ZeroPages locks(tu.memTagging ? image.size() / 4 : 0);
+    return runLegs(unit, tu, image, locks, nullptr, controls);
 }
 
 RunResult
@@ -1169,7 +1373,8 @@ resumeTranslated(const CompiledUnit &unit, const TranslatedUnit &tu,
     MXL_ASSERT(snap.stop == StopReason::CycleLimit,
                "resume requires a CycleLimit-paused snapshot");
     Memory image = std::move(snap.memory);
-    return runLegs(unit, tu, image, &snap, controls);
+    ZeroPages locks = std::move(snap.memTagLocks);
+    return runLegs(unit, tu, image, locks, &snap, controls);
 }
 
 #else // !__GNUC__

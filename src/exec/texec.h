@@ -18,21 +18,32 @@
  * array increments instead of the interpreter's full attribution work.
  *
  * Run-time seams. A run can pause into a MachineSnapshot (the exact
- * encoding Machine::snapshot() produces, pipeline state included),
- * hand it to a hook that may mutate it, and resume from it; a run can
- * also start from a snapshot another executor paused
- * (resumeTranslated). The per-index counters double as the per-PC
- * profile (RunResult::profile). Neither seam touches the hook-free
- * hot loop: the pause folds into the cycle guard's limit.
+ * encoding Machine::snapshot() produces, pipeline state and memory-tag
+ * locks included) — once its cycle count passes a bound, or just
+ * before a numbered call issues — hand it to a hook that may mutate
+ * it, and resume from it; a run can also start from a snapshot another
+ * executor paused (resumeTranslated). The per-index counters double as
+ * the per-PC profile (RunResult::profile). No seam touches the
+ * hook-free hot loop: the cycle pause folds into the cycle guard's
+ * limit, and the call pause runs on a private copy of the ops whose
+ * call handlers count.
+ *
+ * Memory-tagging hardware (HardwareConfig::memTagging) translates to
+ * its own load/store kinds carrying Machine's lock/key check; the lock
+ * table is the interpreter's ZeroPages encoding, written through its
+ * page-marking path, and moves through snapshots like the image.
  *
  * What the backend does NOT support — and why refusal is safe:
  * translateUnit() declines units it cannot prove equivalent (malformed
  * delay-slot structure per analysis::buildCfg, tag-hardware opcodes
  * without the matching HardwareConfig bit, trap-capable ops scheduled
- * into delay slots, memory-tagging hardware), and there is no
- * machineSetup seam (the hook takes a live Machine). The Engine treats
- * both as tier-fallback conditions: with ExecPolicy::backend == Auto
- * the run transparently drops to the interpreter (core/engine.h).
+ * into delay slots), and there is no machineSetup seam (the hook takes
+ * a live Machine). The Engine treats both as tier-fallback conditions:
+ * with ExecPolicy::backend == Auto the run transparently drops to the
+ * interpreter (core/engine.h). The checked-memory and arithmetic traps
+ * never occur in a slot; a memory-tag trap can, and is taken exactly
+ * as the interpreter takes it (an unhandled one stops the run, a
+ * handled one is a panic).
  */
 
 #ifndef MXLISP_EXEC_TEXEC_H_
@@ -96,6 +107,7 @@ struct TranslatedUnit
                                       ///< hw.ignoreTagOnMemory, else ~0)
     unsigned dataBits = 32; ///< fixnum field width (high-tag schemes)
     bool lowTags = false;   ///< fixnum encoding family
+    bool memTagging = false; ///< HardwareConfig::memTagging (lock table)
 
     // Trap handler indices, pre-gated exactly like runUnitOn(): set
     // only when the hardware feature is on and the unit compiled a
@@ -143,6 +155,14 @@ struct TranslatedControls
     std::function<void(MachineSnapshot &, const CompiledUnit &)>
         snapshotHook;
 
+    /**
+     * Pause just before the issue of the Jal/Jalr with this 0-based
+     * index among the calls the run issues (-1 = never), into the same
+     * snapshot and hook — RunControls::pauseAtCall's semantics. At most
+     * one pause per run: whichever trigger fires first.
+     */
+    int64_t pauseAtCall = -1;
+
     /** Fill RunResult::profile (RunControls::collectProfile). */
     bool collectProfile = false;
 };
@@ -159,10 +179,11 @@ RunResult runTranslated(const CompiledUnit &unit, const TranslatedUnit &tu,
  * Continue the run paused in @p snap (stop == CycleLimit) up to
  * controls.maxCycles total cycles: the counterpart of
  * Machine::restore() + Machine::resume(). Every field restore() honors
- * is honored, and CycleStats and output continue from the snapshot's.
- * A snapshot this executor cannot honor — one carrying memory-tag
- * locks, or a paused-into state no translated op can continue — throws
- * a panic MxlError rather than diverging.
+ * is honored, memory-tag locks included, and CycleStats and output
+ * continue from the snapshot's. A snapshot this executor cannot honor —
+ * a paused-into state no translated op can continue — throws a panic
+ * MxlError rather than diverging. A call pause counts the calls issued
+ * after the resume.
  */
 RunResult resumeTranslated(const CompiledUnit &unit,
                            const TranslatedUnit &tu, MachineSnapshot snap,

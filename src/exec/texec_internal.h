@@ -29,6 +29,9 @@ enum TKind : uint16_t
     TLi, TMov, TNoop,
     // Memory
     TLd, TSt, TLdt, TStt,
+    // Memory under memory-tagging hardware: the same accesses plus the
+    // per-word lock/key check (emitted only for memTagging units)
+    TLdM, TStM, TLdtM, TSttM,
     // Trapping tagged arithmetic, by tag placement
     TAddtHigh, TSubtHigh, TAddtLow, TSubtLow,
     // Sys, by code
@@ -48,6 +51,11 @@ enum TKind : uint16_t
     TF_Addi_St, TF_St_Ld, TF_St_St, TF_And_Ld, TF_Ld_Srli, TF_Ld_Addi,
     TF_Ld_And, TF_Ld_Ld, TF_Ld_Li, TF_Mov_Ld, TF_Slli_Srai, TF_Addi_Ld,
     TF_St_Li, TF_Ld_Slli,
+    // Call-pause variants of Jal/Jalr: count calls down to an armed
+    // TranslatedControls::pauseAtCall, then run the plain handler.
+    // Installed as handlers only, in an armed run's private copy of the
+    // ops, so unarmed runs never execute them.
+    TC_Jal, TC_Jalr,
     kNumTKinds,
 };
 

@@ -22,6 +22,7 @@
 #include "analysis/cfg.h"
 #include "exec/texec.h"
 #include "exec/texec_internal.h"
+#include "support/bits.h"
 #include "support/format.h"
 
 namespace mxl {
@@ -61,8 +62,6 @@ translateUnit(const CompiledUnit &unit)
 
     const TagScheme &scheme = *unit.scheme;
     const HardwareConfig &hw = unit.opts.hw;
-    if (hw.memTagging)
-        return refuse("memory-tagging hardware is interpreter-only");
     const bool lowTags = scheme.placement() == TagPlacement::Low;
 
     auto tu = std::make_shared<TranslatedUnit>();
@@ -96,6 +95,22 @@ translateUnit(const CompiledUnit &unit)
     tu->memMask = hw.ignoreTagOnMemory ? tu->detagMask : 0xffffffffu;
     tu->dataBits = scheme.dataBits();
     tu->lowTags = lowTags;
+    tu->memTagging = hw.memTagging;
+    if (hw.memTagging) {
+        // The lock/key check classifies base registers with the
+        // encoding family's constant fixnum test; verify it like the
+        // masks above.
+        for (uint32_t probe : {0u, 4u, 7u, 0x5a5a5a5au, 0xa5a5a5a5u,
+                               0xffffffffu, 0x04000000u, 0xfc000000u}) {
+            const bool fix =
+                lowTags ? (probe & 3u) == 0
+                        : static_cast<uint32_t>(
+                              signExtend(probe, tu->dataBits)) == probe;
+            if (scheme.wordIsFixnum(probe) != fix)
+                return refuse(strcat("tag scheme '", scheme.name(),
+                                     "' has no constant fixnum test"));
+        }
+    }
 
     // Pre-gate trap handlers exactly like runUnitOn(): a handler is
     // live only when the hardware feature exists and the unit compiled
@@ -145,14 +160,19 @@ translateUnit(const CompiledUnit &unit)
           case Opcode::Li:   kind = TLi;   break;
           case Opcode::Mov:  kind = TMov;  break;
           case Opcode::Noop: kind = TNoop; break;
-          case Opcode::Ld:   kind = TLd;   break;
-          case Opcode::St:   kind = TSt;   break;
+          // Memory-tagging hardware has its own memory kinds, so the
+          // kinds (and fused pairs) of every other unit stay as they are.
+          case Opcode::Ld:   kind = hw.memTagging ? TLdM : TLd; break;
+          case Opcode::St:   kind = hw.memTagging ? TStM : TSt; break;
           case Opcode::Ldt:
           case Opcode::Stt:
             if (hw.checkedMemory == CheckedMem::None)
                 return refuse(strcat(opcodeName(inst.op), " at pc ", i,
                                      " without checked-memory hardware"));
-            kind = inst.op == Opcode::Ldt ? TLdt : TStt;
+            if (inst.op == Opcode::Ldt)
+                kind = hw.memTagging ? TLdtM : TLdt;
+            else
+                kind = hw.memTagging ? TSttM : TStt;
             break;
           case Opcode::Addt:
           case Opcode::Subt:
@@ -277,10 +297,14 @@ translateUnit(const CompiledUnit &unit)
             if (isControl(inst.op) && inst.op != Opcode::Jr &&
                 inst.op != Opcode::Jalr)
                 leader[inst.target] = 1;
-            // Trap returns re-enter at the faulting index + 1.
-            if ((inst.op == Opcode::Ldt || inst.op == Opcode::Stt ||
-                 inst.op == Opcode::Addt || inst.op == Opcode::Subt) &&
-                i + 1 < n)
+            // Trap returns re-enter at the faulting index + 1 (under
+            // memory tagging every load and store can trap).
+            const bool traps =
+                inst.op == Opcode::Ldt || inst.op == Opcode::Stt ||
+                inst.op == Opcode::Addt || inst.op == Opcode::Subt ||
+                (hw.memTagging &&
+                 (inst.op == Opcode::Ld || inst.op == Opcode::St));
+            if (traps && i + 1 < n)
                 leader[i + 1] = 1;
         }
         auto fusedKind = [](uint8_t a, uint8_t b) -> int {

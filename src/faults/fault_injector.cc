@@ -1,7 +1,6 @@
 #include "faults/fault_injector.h"
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
 #include "support/format.h"
@@ -264,33 +263,37 @@ injectStackBitFlip(MachineSnapshot &snap, const CompiledUnit &unit,
     snap.memory.word(idx) ^= 1u << rng.below(32);
 }
 
-void
-installCallArgFault(Machine &m, const CompiledUnit &unit, uint64_t seed)
+/** The call a CallArgType fault pauses at (Hooks::pauseAtCall). */
+int64_t
+callArgTarget(uint64_t seed)
 {
     FaultRng rng(seed);
-    uint64_t targetCall = rng.below(kCallWindow);
+    return static_cast<int64_t>(rng.below(kCallWindow));
+}
+
+/**
+ * Substitute the ill-typed argument into a run paused just before the
+ * targeted call issues. The draws continue the stream callArgTarget()
+ * started, so the site is the same pure function of the seed.
+ */
+void
+injectCallArg(MachineSnapshot &snap, const CompiledUnit &unit,
+              uint64_t seed)
+{
+    FaultRng rng(seed);
+    rng.below(kCallWindow); // the target call
     Reg argReg = static_cast<Reg>(abi::arg0 + rng.below(2));
     const TagScheme *s = unit.scheme.get();
 
-    // Precompute both replacement words: an ill-typed value is one whose
-    // type differs from what the register held when the call fired.
+    // An ill-typed value is one whose type differs from what the
+    // register holds as the call fires.
     uint32_t align = s->alignment(TypeId::Pair);
     uint32_t pairAddr = (unit.layout.heapABase + align - 1) & ~(align - 1);
     uint32_t pairWord = s->encodePointer(TypeId::Pair, pairAddr);
     uint32_t fixWord =
         s->encodeFixnum(static_cast<int64_t>(1 + rng.below(1000)));
-
-    auto calls = std::make_shared<uint64_t>(0);
-    Machine *mp = &m;
-    m.traceHook = [calls, targetCall, argReg, s, pairWord, fixWord,
-                   mp](int, const Instruction &inst) {
-        if (inst.op != Opcode::Jal && inst.op != Opcode::Jalr)
-            return;
-        if ((*calls)++ != targetCall)
-            return;
-        uint32_t cur = mp->reg(argReg);
-        mp->setReg(argReg, s->wordIsFixnum(cur) ? pairWord : fixWord);
-    };
+    uint32_t &reg = snap.regs[argReg];
+    reg = s->wordIsFixnum(reg) ? pairWord : fixWord;
 }
 
 } // namespace
@@ -363,9 +366,10 @@ armFault(RunRequest &req, const FaultSpec &spec)
         };
         break;
       case FaultClass::CallArgType:
-        req.hooks.machineSetup = [seed = spec.seed](Machine &m,
+        req.hooks.pauseAtCall = callArgTarget(spec.seed);
+        req.hooks.snapshotHook = [seed = spec.seed](MachineSnapshot &snap,
                                               const CompiledUnit &unit) {
-            installCallArgFault(m, unit, seed);
+            injectCallArg(snap, unit, seed);
         };
         break;
       case FaultClass::HeapTagCorrupt:

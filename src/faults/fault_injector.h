@@ -15,7 +15,9 @@
  *    when the flip lands in (or perturbs) a tag;
  *  - CallArgType: substitute an ill-typed value into an argument
  *    register at the N-th executed call — the "wrong type reaches a
- *    procedure" model of §3's checking discussion.
+ *    procedure" model of §3's checking discussion. The run pauses just
+ *    before that call issues (Hooks::pauseAtCall) and the snapshot's
+ *    register is rewritten.
  *  - HeapTagCorrupt / HeapBitFlip: the same two memory-corruption
  *    models applied to the *live run-time heap* instead of the static
  *    image. The run is paused mid-execution (Hooks::pauseAtCycle),
@@ -33,9 +35,10 @@
  * Everything is derived from FaultSpec::seed with a splitmix64 stream:
  * the same (spec, compiled unit) pair always yields the same injected
  * fault, so campaigns are replayable cell by cell. Faults are applied
- * through RunRequest::hooks' imageMutator/machineSetup seams, i.e. to the
- * per-run expanded image and machine — never to the engine's cached
- * compiled unit.
+ * through RunRequest::hooks' imageMutator and pause/snapshot seams, i.e.
+ * to the per-run image and paused state — never to the engine's cached
+ * compiled unit. Both executors honor every seam a class uses, so every
+ * trial can run translated.
  */
 
 #ifndef MXLISP_FAULTS_FAULT_INJECTOR_H_
@@ -127,8 +130,9 @@ class FaultRng
 
 /**
  * Attach @p spec to @p req: installs the imageMutator (TagCorrupt,
- * BitFlip) or machineSetup hook (CallArgType) that applies the fault to
- * each run of the request. The request's other fields are untouched;
+ * BitFlip), or the pause trigger (pauseAtCall for CallArgType,
+ * pauseAtCycle for the heap/stack classes) and the snapshotHook, that
+ * applies the fault to each run of the request. The request's other fields are untouched;
  * in particular the compiled-unit cache key is unchanged, so all trials
  * of one grid cell share a single compilation.
  */

@@ -382,6 +382,7 @@ Machine::resume(uint64_t maxCycles)
     // (even from a pause between a branch and its delay slots) is
     // cycle-identical to never having paused.
     stop_ = StopReason::Running;
+    pausedAtCall_ = false;
     return runGuarded(maxCycles);
 }
 
@@ -516,6 +517,16 @@ Machine::runLoop(uint64_t maxCycles)
         // slots as separate loop steps (see above).
         int idx = pc_;
         MXL_ASSERT(idx + 2 < n, "control transfer too close to code end");
+
+        if (callsBeforePause_ != kNoCallPause &&
+            (inst.op == Opcode::Jal || inst.op == Opcode::Jalr) &&
+            callsBeforePause_-- == 0) {
+            // The armed call pause, before the call issues.
+            callsBeforePause_ = kNoCallPause;
+            pausedAtCall_ = true;
+            stop_ = StopReason::CycleLimit;
+            break;
+        }
 
         observeIssue(idx, inst);
 

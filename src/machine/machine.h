@@ -176,6 +176,23 @@ class Machine
      *  rvalue to hand over its pages instead of copying them. */
     void restore(MachineSnapshot snap);
 
+    /**
+     * Arm a call pause: the run stops with StopReason::CycleLimit just
+     * before the issue of the Jal/Jalr with 0-based index @p n among
+     * the calls issued from now on, and pausedAtCall() turns true; the
+     * pause is cycle-invisible like any CycleLimit pause, and resume()
+     * continues with the call. Fires once; a negative @p n disarms.
+     */
+    void
+    pauseBeforeCall(int64_t n)
+    {
+        callsBeforePause_ = n < 0 ? kNoCallPause : static_cast<uint64_t>(n);
+        pausedAtCall_ = false;
+    }
+
+    /** True while the machine is stopped at an armed call pause. */
+    bool pausedAtCall() const { return pausedAtCall_; }
+
     uint32_t reg(Reg r) const { return regs_[r]; }
     void setReg(Reg r, uint32_t v) { if (r) regs_[r] = v; }
 
@@ -319,6 +336,9 @@ class Machine
     StopReason stop_ = StopReason::Running;
     int faultIndex_ = -1;
     int pendingLoadReg_ = -1;  ///< load-delay interlock tracking
+    static constexpr uint64_t kNoCallPause = ~uint64_t{0};
+    uint64_t callsBeforePause_ = kNoCallPause; ///< see pauseBeforeCall
+    bool pausedAtCall_ = false;
     ZeroPages memLocks_; ///< memTagging per-word locks (see lockAt)
     uint64_t *profExec_ = nullptr;   ///< attachProfile issue counts
     uint64_t *profCycles_ = nullptr; ///< attachProfile cycle counts

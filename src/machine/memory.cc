@@ -1,5 +1,6 @@
 #include "machine/memory.h"
 
+#include <fcntl.h>
 #include <sys/mman.h>
 #include <unistd.h>
 
@@ -100,6 +101,48 @@ ZeroPages::data()
     if (size_t tail = pageCount() % 64)
         dirty_.back() = (uint64_t{1} << tail) - 1;
     return base_;
+}
+
+void
+ZeroPages::markWritten()
+{
+    if (base_ == nullptr)
+        return;
+    bool ok = false;
+#if defined(__linux__)
+    // One 64-bit pagemap entry per host page: bit 63 present, bit 62
+    // swapped. Either means the host materialized the page, i.e. it
+    // was read or written; a never-touched page has neither.
+    const size_t sys = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+    const int fd = ::open("/proc/self/pagemap", O_RDONLY | O_CLOEXEC);
+    if (fd >= 0 && sys % kPageBytes == 0) {
+        const size_t first = reinterpret_cast<uintptr_t>(base_) / sys;
+        const size_t hostPages = (pageCount() * kPageBytes + sys - 1) / sys;
+        std::vector<uint64_t> map(hostPages);
+        const ssize_t want = static_cast<ssize_t>(hostPages * 8);
+        ok = ::pread(fd, map.data(), static_cast<size_t>(want),
+                     static_cast<off_t>(first * 8)) == want;
+        const size_t per = sys / kPageBytes;
+        static const uint8_t kZero[kPageBytes] = {};
+        for (size_t h = 0; ok && h < hostPages; ++h) {
+            if ((map[h] >> 62) == 0)
+                continue;
+            for (size_t p = h * per; p < (h + 1) * per && p < pageCount();
+                 ++p) {
+                // A swapped page is not read back just to test it.
+                if (!pageDirty(p) &&
+                    ((map[h] >> 63) == 0 ||
+                     std::memcmp(base_ + p * kPageBytes, kZero,
+                                 pageBytes(p)) != 0))
+                    dirty_[p >> 6] |= uint64_t{1} << (p & 63);
+            }
+        }
+    }
+    if (fd >= 0)
+        ::close(fd);
+#endif
+    if (!ok)
+        data();
 }
 
 size_t

@@ -11,7 +11,9 @@
  * host materializes a page only when something writes it, and a page
  * nobody wrote reads as zero. Every writer goes through this class —
  * store(), the mutable word(), data() — and each write marks its 4 KiB
- * page in a dirty bitmap. A copy (a run image cloned from a cached
+ * page in a dirty bitmap. The one exception is the translated
+ * executor, which writes through untrackedData() and re-derives the
+ * bitmap with markWritten() before its image is copied. A copy (a run image cloned from a cached
  * pristine image, a snapshot, a restore) maps a fresh region and copies
  * only the source's dirty pages, so it costs the pages the program
  * touched, not the address space: a pristine image is a few dozen
@@ -72,6 +74,23 @@ class ZeroPages
 
     /** Writable view of all bytes: conservatively marks every page. */
     uint8_t *data();
+
+    /**
+     * Writable view of all bytes that marks nothing, for a writer too
+     * hot to mark pages as it goes. Until markWritten() runs, pages
+     * written through it may be missing from the bitmap, so copies,
+     * comparisons and serialization can drop them.
+     */
+    uint8_t *untracked() { return base_; }
+
+    /**
+     * Add the pages written through untracked() to the bitmap: every
+     * clean page the host holds for the mapping (present or swapped
+     * out, per /proc/self/pagemap) whose bytes are not all zero. A page
+     * the host never materialized was never written and reads as zero.
+     * Where pagemap cannot be read, marks every page, like data().
+     */
+    void markWritten();
 
     size_t pageCount() const { return (bytes_ + kPageBytes - 1) / kPageBytes; }
 
@@ -140,9 +159,20 @@ class Memory
     uint32_t &word(uint32_t index);
     uint32_t word(uint32_t index) const;
 
-    /** All words as one raw array, for the translated executor, which
-     *  writes without going through this class: marks every page. */
+    /** All words as one raw array: marks every page. */
     uint32_t *data() { return reinterpret_cast<uint32_t *>(pages_.data()); }
+
+    /** All words as one raw array that marks nothing; see
+     *  ZeroPages::untracked(). The translated executor writes here and
+     *  calls markWritten() before the image leaves it. */
+    uint32_t *
+    untrackedData()
+    {
+        return reinterpret_cast<uint32_t *>(pages_.untracked());
+    }
+
+    /** ZeroPages::markWritten(). */
+    void markWritten() { pages_.markWritten(); }
 
     /** The backing, for page-wise readers (snapshot serialization). */
     const ZeroPages &pages() const { return pages_; }

@@ -106,19 +106,37 @@ ImageBuilder::constWord(const Sx *form)
       case SxKind::Str:
         return stringWord(form->text);
       case SxKind::Pair: {
-        auto it = consts_.find(form);
-        if (it != consts_.end())
-            return it->second;
-        uint32_t addr =
-            allocStatic(8, scheme_.alignment(TypeId::Pair));
-        uint32_t w = scheme_.encodePointer(TypeId::Pair, addr);
-        // Memoize before recursing so cyclic constants fail loudly in
-        // the recursion depth rather than looping (source can't express
-        // cycles anyway).
-        consts_.emplace(form, w);
-        setWord(addr, constWord(form->car));
-        setWord(addr + 4, constWord(form->cdr));
-        return w;
+        // Walk the cdr spine iteratively — a flat quoted list would
+        // otherwise recurse once per element — allocating in the order
+        // the recursion did: a pair, then its car's cells, then the
+        // next pair. The car still recurses; the reader bounds its depth.
+        uint32_t head = 0;
+        uint32_t prevCdr = 0; // cdr slot of the previous pair; 0 at head
+        auto link = [&](uint32_t w) {
+            if (prevCdr == 0)
+                head = w;
+            else
+                setWord(prevCdr, w);
+        };
+        const Sx *f = form;
+        for (; f->kind == SxKind::Pair; f = f->cdr) {
+            auto it = consts_.find(f);
+            if (it != consts_.end()) {
+                link(it->second);
+                return head;
+            }
+            uint32_t addr =
+                allocStatic(8, scheme_.alignment(TypeId::Pair));
+            uint32_t w = scheme_.encodePointer(TypeId::Pair, addr);
+            // Memoize before descending (source can't express cycles,
+            // and a shared tail is then reused, not re-allocated).
+            consts_.emplace(f, w);
+            link(w);
+            setWord(addr, constWord(f->car));
+            prevCdr = addr + 4;
+        }
+        setWord(prevCdr, constWord(f));
+        return head;
       }
     }
     panic("constWord: bad node");

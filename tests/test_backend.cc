@@ -97,7 +97,29 @@ differential(const CompiledUnit &unit, uint64_t maxCycles)
     return sameResult(a, b);
 }
 
-/** Baselines plus every Table 2 row, at both checking levels. */
+/**
+ * The memory-tagging configurations: the fault campaign's memtag rung
+ * (low tags, no compiled checks) at both checking levels, and memory
+ * tagging beside checked-memory hardware, whose Ldt/Stt then carry the
+ * lock/key check too and whose tag traps have a handler.
+ */
+std::vector<CompilerOptions>
+memTagConfigs()
+{
+    std::vector<CompilerOptions> configs;
+    for (Checking c : {Checking::Off, Checking::Full}) {
+        CompilerOptions o = lowTagSoftwareOptions(c);
+        o.hw.memTagging = true;
+        configs.push_back(o);
+    }
+    CompilerOptions checked = baselineOptions(Checking::Full);
+    checked.hw.checkedMemory = CheckedMem::All;
+    checked.hw.memTagging = true;
+    configs.push_back(checked);
+    return configs;
+}
+
+/** Baselines, every Table 2 row at both checking levels, and memtag. */
 std::vector<CompilerOptions>
 ladderConfigs()
 {
@@ -108,8 +130,17 @@ ladderConfigs()
         configs.push_back(cfg.withChecking(Checking::Off));
         configs.push_back(cfg.withChecking(Checking::Full));
     }
+    for (const CompilerOptions &o : memTagConfigs())
+        configs.push_back(o);
     return configs;
 }
+
+/**
+ * A translated pause snapshot marks no more pages than the interpreter's
+ * beyond this slack: the executor re-derives its bitmap at the pause
+ * instead of marking the whole image.
+ */
+constexpr size_t kDirtySlackPages = 4;
 
 /** A machineSetup hook that does nothing: the interpreter-only seam. */
 void
@@ -235,17 +266,30 @@ TEST_P(BackendPause, SeededPausePointsMatchInterpreter)
         };
         const RunResult a = runUnitOn(unit, unit.memory, rc);
 
-        // Compared in place: the translated image is one dense mapping.
+        // Compared in place, so the hook sees the leg's own image.
         bool same = false;
+        bool sameBytes = true;
+        size_t imagePages = 0, lockPages = 0;
         TranslatedControls tc = plain;
         tc.pauseAtCycle = pause;
         tc.snapshotHook = [&](MachineSnapshot &s, const CompiledUnit &) {
             same = s == interpSnap;
+            imagePages = s.memory.dirtyPages();
+            lockPages = s.memTagLocks.dirtyPages();
+            // Memory tagging: the lock-carrying MXSNAP02 bytes too.
+            if (opts.hw.memTagging)
+                sameBytes = s.serialize() == interpSnap.serialize();
         };
         const RunResult b = runTranslated(unit, *tr.unit, unit.memory, tc);
         ASSERT_TRUE(a.snapshotTaken);
         ASSERT_TRUE(b.snapshotTaken);
         EXPECT_TRUE(same) << "snapshots differ at pc " << interpSnap.pc;
+        EXPECT_TRUE(sameBytes) << "MXSNAP02 bytes differ";
+        EXPECT_EQ(interpSnap.memTagLocks.size() != 0, opts.hw.memTagging);
+        EXPECT_LE(imagePages,
+                  interpSnap.memory.dirtyPages() + kDirtySlackPages);
+        EXPECT_LE(lockPages,
+                  interpSnap.memTagLocks.dirtyPages() + kDirtySlackPages);
         EXPECT_TRUE(sameResult(a, b));
         EXPECT_TRUE(sameResult(whole, b));
 
@@ -254,7 +298,7 @@ TEST_P(BackendPause, SeededPausePointsMatchInterpreter)
             whole, resumeTranslated(unit, *tr.unit, interpSnap, plain)));
         ++compared;
     }
-    EXPECT_GE(compared, 16);
+    EXPECT_GE(compared, 19); // every ladder config, memtag included
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -298,21 +342,27 @@ TEST(Backend, MutatingHookGivesIdenticalResultsOnBothTiers)
 TEST(Backend, UnhonorableSnapshotIsAnInternalError)
 {
     // A hook that leaves the snapshot in a state the translated
-    // executor cannot continue (memory-tag locks it has no hardware
-    // for) gets a structured InternalError, never a silent divergence.
+    // executor cannot continue gets a structured InternalError, never a
+    // silent divergence.
     Engine eng(1);
     RunRequest req = request(kLoop, Checking::Full);
     req.exec.backend = Backend::Translated;
     req.hooks.pauseAtCycle = 500;
+
+    // Memory-tag locks are honored now, on a unit without the hardware
+    // too: carried along and never consulted, as Machine::restore()
+    // carries them.
     req.hooks.snapshotHook = [](MachineSnapshot &snap,
                                 const CompiledUnit &) {
         snap.memTagLocks = ZeroPages(snap.memory.size() / 4);
+        *snap.memTagLocks.touch(0) = 1;
     };
-    RunReport rep = eng.run(req);
-    EXPECT_EQ(rep.status.code, RunStatus::Code::InternalError);
-    EXPECT_NE(rep.status.message.find("memory-tag locks"),
-              std::string::npos)
-        << rep.status.message;
+    RunReport locked = eng.run(req);
+    ASSERT_TRUE(locked.ok()) << locked.status.message;
+    req.exec.backend = Backend::Interpreter;
+    RunReport interp = eng.run(req);
+    EXPECT_TRUE(sameResult(interp.result, locked.result));
+    req.exec.backend = Backend::Translated;
 
     // A wild pc is a panic, not a wild dispatch.
     req.hooks.snapshotHook = [](MachineSnapshot &snap,
@@ -320,10 +370,78 @@ TEST(Backend, UnhonorableSnapshotIsAnInternalError)
         snap.pc = 1 << 30;
         snap.slotsRemaining = 0;
     };
-    rep = eng.run(req);
+    RunReport rep = eng.run(req);
     EXPECT_EQ(rep.status.code, RunStatus::Code::InternalError);
     EXPECT_NE(rep.status.message.find("pc out of range"), std::string::npos)
         << rep.status.message;
+}
+
+TEST(Backend, CallPauseSnapshotsMatchInterpreter)
+{
+    // The second pause trigger: just before the N-th issued call, both
+    // executors pause into the same MXSNAP02 bytes (memory-tag locks
+    // included), and a register rewritten there — the call-argument
+    // fault — perturbs both runs identically.
+    std::vector<CompilerOptions> configs = memTagConfigs();
+    configs.push_back(baselineOptions(Checking::Full));
+    for (const auto &bp : benchmarkPrograms()) {
+        if (bp.name != "inter" && bp.name != "deduce" && bp.name != "opt")
+            continue;
+        for (CompilerOptions opts : configs) {
+            opts.heapBytes = bp.heapBytes;
+            CompiledUnit unit = compileUnit(bp.source, opts);
+            auto tr = translateUnit(unit);
+            ASSERT_TRUE(tr.unit) << tr.note;
+            for (int64_t call : {0, 3, 15, 400}) {
+                SCOPED_TRACE(bp.name + " call " + std::to_string(call));
+                std::string interpBytes;
+                RunControls rc;
+                rc.maxCycles = bp.maxCycles;
+                rc.pauseAtCall = call;
+                rc.snapshotHook = [&](MachineSnapshot &s,
+                                      const CompiledUnit &) {
+                    interpBytes = s.serialize();
+                    s.regs[mxl::abi::arg0] ^= 3;
+                };
+                const RunResult a = runUnitOn(unit, unit.memory, rc);
+
+                bool sameBytes = false;
+                TranslatedControls tc;
+                tc.maxCycles = bp.maxCycles;
+                tc.pauseAtCall = call;
+                tc.snapshotHook = [&](MachineSnapshot &s,
+                                      const CompiledUnit &) {
+                    sameBytes = s.serialize() == interpBytes;
+                    s.regs[mxl::abi::arg0] ^= 3;
+                };
+                const RunResult b =
+                    runTranslated(unit, *tr.unit, unit.memory, tc);
+                ASSERT_TRUE(a.snapshotTaken);
+                ASSERT_TRUE(b.snapshotTaken);
+                EXPECT_TRUE(sameBytes);
+                EXPECT_TRUE(sameResult(a, b));
+            }
+        }
+    }
+
+    // A run that issues fewer calls never pauses, on either executor.
+    CompiledUnit unit = compileUnit(kLoop, baselineOptions(Checking::Off));
+    auto tr = translateUnit(unit);
+    ASSERT_TRUE(tr.unit);
+    int hooked = 0;
+    RunControls rc;
+    rc.pauseAtCall = 1'000'000;
+    rc.snapshotHook = [&](MachineSnapshot &, const CompiledUnit &) {
+        ++hooked;
+    };
+    TranslatedControls tc;
+    tc.pauseAtCall = rc.pauseAtCall;
+    tc.snapshotHook = rc.snapshotHook;
+    const RunResult a = runUnitOn(unit, unit.memory, rc);
+    const RunResult b = runTranslated(unit, *tr.unit, unit.memory, tc);
+    EXPECT_EQ(hooked, 0);
+    EXPECT_FALSE(a.snapshotTaken || b.snapshotTaken);
+    EXPECT_TRUE(sameResult(a, b));
 }
 
 TEST(Backend, BenchmarkSuiteHasTenPrograms)

@@ -215,6 +215,37 @@ TEST(Engine, DeepNestingIsACompileErrorNotACrash)
     EXPECT_EQ(rep.result.output, "900\n");
 }
 
+TEST(Engine, LongFlatQuotedListIsNotAStackOverflow)
+{
+    // The image builder once recursed once per cdr of a quoted constant,
+    // so a flat quoted list of 400k elements killed the process. Now it
+    // either runs or fails with a structured error — never a crash.
+    std::string src = "(print (length '(";
+    for (int i = 0; i < 400000; ++i)
+        src += "1 ";
+    src += ")))";
+    Engine eng(1);
+    RunRequest req;
+    req.source = src;
+    RunReport rep = eng.run(req);
+    if (rep.status.ok()) {
+        EXPECT_TRUE(rep.result.ok());
+        EXPECT_EQ(rep.result.output, "400000\n");
+    } else {
+        EXPECT_EQ(rep.status.code, RunStatus::Code::CompileError)
+            << rep.status.message;
+    }
+
+    // The iterative walk keeps the allocation order, so a dotted or
+    // shared constant still builds the same structure.
+    RunRequest small;
+    small.source = "(setq x '(1 (2 3) 4 . 5)) (print (car (cdr x)))"
+                   "(print (cdr (cdr (cdr x))))";
+    RunReport sr = eng.run(small);
+    ASSERT_TRUE(sr.ok()) << sr.status.message;
+    EXPECT_EQ(sr.result.output, "(2 3)\n5\n");
+}
+
 TEST(Engine, GridSurvivesMixedGoodAndBadCells)
 {
     Engine eng(2);

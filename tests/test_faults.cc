@@ -197,15 +197,41 @@ TEST(FaultInjector, BitFlipFlipsExactlyOneBit)
     EXPECT_EQ(flippedBits, 1);
 }
 
-TEST(FaultInjector, CallArgTypeInstallsMachineHook)
+TEST(FaultInjector, CallArgTypeArmsACallPause)
 {
+    // Declarative: a pause before a call inside the fault window and a
+    // snapshot hook — no live-Machine hook, so both executors run it.
     RunRequest req;
     FaultSpec spec;
     spec.cls = FaultClass::CallArgType;
     spec.seed = 3;
     armFault(req, spec);
     EXPECT_FALSE(static_cast<bool>(req.hooks.imageMutator));
-    EXPECT_TRUE(static_cast<bool>(req.hooks.machineSetup));
+    EXPECT_FALSE(static_cast<bool>(req.hooks.machineSetup));
+    EXPECT_FALSE(req.hooks.needsInterpreter());
+    EXPECT_TRUE(static_cast<bool>(req.hooks.snapshotHook));
+    EXPECT_EQ(req.hooks.pauseAtCycle, 0u);
+    EXPECT_GE(req.hooks.pauseAtCall, 0);
+    EXPECT_LT(req.hooks.pauseAtCall, 16);
+
+    // The hook swaps the type of one argument register of the paused
+    // call: a fixnum becomes a pair pointer and vice versa.
+    CompiledUnit unit = compileUnit(kSumList, uncheckedOpts());
+    const TagScheme &ts = *unit.scheme;
+    MachineSnapshot snap;
+    snap.regs[mxl::abi::arg0] = ts.encodeFixnum(5);
+    snap.regs[mxl::abi::arg0 + 1] = ts.encodeFixnum(6);
+    MachineSnapshot before = snap;
+    req.hooks.snapshotHook(snap, unit);
+    int changed = 0;
+    for (int r = 0; r < 32; ++r) {
+        if (snap.regs[r] == before.regs[r])
+            continue;
+        ++changed;
+        EXPECT_TRUE(r == mxl::abi::arg0 || r == mxl::abi::arg0 + 1) << r;
+        EXPECT_FALSE(ts.wordIsFixnum(snap.regs[r]));
+    }
+    EXPECT_EQ(changed, 1);
 }
 
 // ---- classification ---------------------------------------------------
@@ -1141,8 +1167,12 @@ TEST(Campaign, AutoTierMatchesInterpreterTier)
     // never a semantic one.
     Campaign c = smallCampaign();
     c.classes = {FaultClass::TagCorrupt,      FaultClass::BitFlip,
-                 FaultClass::HeapTagCorrupt,  FaultClass::HeapBitFlip,
-                 FaultClass::StackTagCorrupt, FaultClass::StackBitFlip};
+                 FaultClass::CallArgType,     FaultClass::HeapTagCorrupt,
+                 FaultClass::HeapBitFlip,     FaultClass::StackTagCorrupt,
+                 FaultClass::StackBitFlip};
+    CompilerOptions memtag = lowTagSoftwareOptions(Checking::Off);
+    memtag.hw.memTagging = true;
+    c.configs.push_back({"memtag", memtag});
     c.trials = 4;
 
     Campaign interp = c;
@@ -1159,24 +1189,19 @@ TEST(Campaign, AutoTierMatchesInterpreterTier)
         EXPECT_EQ(ri.goldens[g].result.output, ra.goldens[g].result.output);
         EXPECT_EQ(ri.goldens[g].result.stats.total,
                   ra.goldens[g].result.stats.total);
+        EXPECT_EQ(ra.goldens[g].backend, Backend::Translated) << g;
     }
     ASSERT_EQ(ri.trials.size(), ra.trials.size());
-    int translated = 0;
     for (size_t i = 0; i < ri.trials.size(); ++i) {
         EXPECT_EQ(ri.trials[i].outcome, ra.trials[i].outcome) << i;
         EXPECT_EQ(ri.trials[i].channel, ra.trials[i].channel) << i;
         EXPECT_EQ(ri.trials[i].errorCode, ra.trials[i].errorCode) << i;
         EXPECT_EQ(ri.trials[i].cycles, ra.trials[i].cycles) << i;
         EXPECT_EQ(ri.trials[i].backend, Backend::Interpreter);
-        translated += ra.trials[i].backend == Backend::Translated;
-        // The heap/stack classes pause into a snapshot, which the
-        // translated tier honors; neither config here has memtag.
-        if (faultClassNeedsPause(c.classes[size_t(ra.trials[i].cls)]) &&
-            ra.trials[i].outcome != Outcome::Skipped) {
+        // Every class honors both executors' seams, memory tagging
+        // included: no trial falls back.
+        if (ra.trials[i].outcome != Outcome::Skipped)
             EXPECT_EQ(ra.trials[i].backend, Backend::Translated) << i;
-        }
     }
     EXPECT_EQ(ri.renderMatrix(), ra.renderMatrix());
-    // The differential has teeth only if Auto actually promoted trials.
-    EXPECT_GT(translated, 0);
 }

@@ -436,6 +436,9 @@ TEST(Metrics, FallbackReasonsAreCountedAndRelayed)
     // Each reason an Auto request drops to the interpreter has its own
     // counter beside the unchanged total, and the split rides the same
     // worker delta relay (and health export) as every engine counter.
+    // The translator no longer declines any compiled unit (memory
+    // tagging, its last refusal, now translates), so the refusal
+    // counter must stay at zero while the other reasons count.
     const char *src = "(de f (n) (if (lessp n 1) 0 (+ n (f (sub1 n)))))"
                       "(print (f 30))";
     Engine eng(1);
@@ -448,31 +451,35 @@ TEST(Metrics, FallbackReasonsAreCountedAndRelayed)
     RunRequest transform = plain;
     transform.hooks.unitTransform =
         [](std::shared_ptr<const CompiledUnit> u) { return u; };
-    RunRequest refused = plain;
-    refused.opts.scheme = SchemeKind::Low2;
-    refused.opts.checking = Checking::Off;
-    refused.opts.hw.memTagging = true; // the translator declines
+    RunRequest memtag = plain; // once the refused case; now translated
+    memtag.opts.scheme = SchemeKind::Low2;
+    memtag.opts.checking = Checking::Off;
+    memtag.opts.hw.memTagging = true;
     RunRequest profiled = plain; // no longer a fallback
     profiled.hooks.collectProfile = true;
 
     Json baseline;
     eng.metrics().deltaJson(&baseline);
-    for (const RunRequest *r : {&plain, &setup, &transform, &refused,
+    for (const RunRequest *r : {&plain, &setup, &transform, &memtag,
                                 &profiled}) {
         RunReport rep = eng.run(*r);
         ASSERT_TRUE(rep.ok()) << rep.status.message;
+        if (r == &memtag) {
+            EXPECT_EQ(rep.backend, Backend::Translated);
+            EXPECT_FALSE(rep.backendFellBack) << rep.backendNote;
+        }
     }
     auto value = [&](const char *name) {
         return eng.metrics().counter(name).value();
     };
-    EXPECT_EQ(value("engine.backend.fallbacks"), 3u);
+    EXPECT_EQ(value("engine.backend.fallbacks"), 2u);
     EXPECT_EQ(value("engine.backend.fallback.machine_setup"), 1u);
     EXPECT_EQ(value("engine.backend.fallback.unit_transform"), 1u);
-    EXPECT_EQ(value("engine.backend.fallback.translation_refused"), 1u);
+    EXPECT_EQ(value("engine.backend.fallback.translation_refused"), 0u);
 
     MetricsRegistry parent;
     parent.merge(eng.metrics().deltaJson(&baseline));
-    EXPECT_EQ(parent.counter("engine.backend.fallbacks").value(), 3u);
+    EXPECT_EQ(parent.counter("engine.backend.fallbacks").value(), 2u);
     EXPECT_EQ(
         parent.counter("engine.backend.fallback.machine_setup").value(),
         1u);
@@ -481,9 +488,9 @@ TEST(Metrics, FallbackReasonsAreCountedAndRelayed)
         1u);
     EXPECT_EQ(parent.counter("engine.backend.fallback.translation_refused")
                   .value(),
-              1u);
+              0u);
     EXPECT_NE(parent.snapshotJson().find(
-                  "engine.backend.fallback.translation_refused"),
+                  "engine.backend.fallback.unit_transform"),
               std::string::npos);
 }
 
